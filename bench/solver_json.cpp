@@ -176,7 +176,8 @@ int main(int argc, char** argv) {
 
   // Cold vs warm on a (50, 3) profile, two access patterns:
   //   * same-profile re-solve seeded with its own solution — the repeated-
-  //     game stage pattern (what NetworkSolveCache also short-circuits);
+  //     game stage pattern (what the SolverService cache also
+  //     short-circuits);
   //   * a one-node-nudged neighbor seeded with the unperturbed solution —
   //     the best-response ternary-search pattern. The damped iteration
   //     contracts linearly, so a nearby start saves only O(log) iterations
@@ -216,14 +217,10 @@ int main(int argc, char** argv) {
       median_ns(11, [&] {
         analytical::SolverService service;
         for (int r = 0; r < service_requests; ++r) {
-          const auto& classes =
+          (void)service.submit(
               service_instances[static_cast<std::size_t>(r % service_distinct)]
-                  .classes;
-          std::vector<int> w(classes.node_count());
-          for (std::size_t i = 0; i < w.size(); ++i) {
-            w[i] = classes.window[static_cast<std::size_t>(classes.class_of[i])];
-          }
-          (void)service.submit(std::move(w), 6, 0.0);
+                  .classes,
+              6, 0.0);
         }
         service.drain();
       }) /

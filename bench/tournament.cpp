@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   }
 
   // The whole tournament routes its heterogeneous solves through one
-  // class-canonical cache (src/analytical/solver_cache.hpp): repeated
+  // class-canonical cache (src/analytical/solver_service.hpp): repeated
   // games replay profiles stage after stage, and mixes that permute the
   // same window multiset collapse onto one key. The hit rate is the
   // fraction of stage evaluations the symmetry collapse deduplicated.

@@ -1,11 +1,12 @@
 // Batched solver quickstart: submit 1000 profiles through SolverService,
 // drain once, print the throughput.
 //
-// The service deduplicates requests onto canonical symmetry-class keys,
-// answers repeats and permutations from its cache, and solves the
-// distinct misses through the lockstep batch kernel — every ticket's
-// result is bitwise identical to a one-at-a-time try_solve_network call
-// (see docs/SOLVER_API.md for the full contract).
+// Requests are canonical class profiles (classify_profile). The service
+// deduplicates them onto symmetry-class keys, answers repeats and
+// permutations from its cache, and solves the distinct misses through the
+// lockstep batch kernel — every ticket's class-space result expands to
+// the bits of a one-at-a-time try_solve_network call (see
+// docs/SOLVER_API.md for the full contract).
 //
 // Build & run:  ./build/examples/batched_solver [requests]
 #include <chrono>
@@ -35,7 +36,8 @@ int main(int argc, char** argv) {
   for (int r = 0; r < requests; ++r) {
     std::vector<int> profile(20, 128);
     profile[0] = 1 + r % 127;  // the deviant's window, revisited cyclically
-    tickets.push_back(service.submit(std::move(profile), 6, 0.0));
+    tickets.push_back(
+        service.submit(analytical::classify_profile(profile), 6, 0.0));
   }
 
   // 2. Drain: one lockstep batch over the distinct class systems; repeats
@@ -47,7 +49,8 @@ int main(int argc, char** argv) {
   //    drained for us on first use).
   double tau_sum = 0.0;
   for (const auto& ticket : tickets) {
-    tau_sum += ticket.result().state.tau[0];  // the deviant's attempt rate
+    // Class 0 holds the smallest window: the deviant's attempt rate.
+    tau_sum += ticket.result().state.tau[0];
   }
 
   const double us =

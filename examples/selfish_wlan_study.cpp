@@ -97,7 +97,7 @@ int main() {
   std::printf("Act 3 — every station plays myopic best response:\n");
   {
     auto oracle = [&game](const std::vector<int>& profile, std::size_t self) {
-      return game.utility_rates(profile)[self];
+      return game.stage_utilities(profile)[self];
     };
     std::vector<std::unique_ptr<game::Strategy>> pop;
     for (int i = 0; i < n; ++i) {

@@ -7,6 +7,7 @@
 
 #include "analytical/backoff_chain.hpp"
 #include "analytical/batch_solver.hpp"
+#include "analytical/solver_detail.hpp"
 #include "util/root_finding.hpp"
 
 namespace smac::analytical {
@@ -78,13 +79,6 @@ NetworkState state_from(util::FixedPointResult r) {
   return state;
 }
 
-bool validate_inputs(const std::vector<int>& w, int max_stage, double per) {
-  const bool windows_valid =
-      std::all_of(w.begin(), w.end(), [](int wi) { return wi >= 1; });
-  return !w.empty() && windows_valid && max_stage >= 0 && per >= 0.0 &&
-         per < 1.0;
-}
-
 }  // namespace
 
 const char* to_string(SolveStatus status) noexcept {
@@ -152,11 +146,8 @@ TrySolveResult try_solve_classes(const ClassProfile& classes, int max_stage,
 TrySolveResult try_solve_network(const std::vector<int>& w, int max_stage,
                                  const SolverOptions& opts,
                                  double packet_error_rate) {
-  if (!validate_inputs(w, max_stage, packet_error_rate)) {
-    TrySolveResult out;
-    out.diagnostics.status = SolveStatus::kFailed;
-    out.diagnostics.method = "invalid";
-    return out;
+  if (!detail::valid_solve_inputs(w, max_stage, packet_error_rate)) {
+    return detail::invalid_result();
   }
   const ClassProfile classes = classify_profile(w);
   TrySolveResult collapsed =
@@ -171,12 +162,10 @@ TrySolveResult try_solve_network_full(const std::vector<int>& w,
                                       int max_stage,
                                       const SolverOptions& opts,
                                       double packet_error_rate) {
-  TrySolveResult out;
-  if (!validate_inputs(w, max_stage, packet_error_rate)) {
-    out.diagnostics.status = SolveStatus::kFailed;
-    out.diagnostics.method = "invalid";
-    return out;
+  if (!detail::valid_solve_inputs(w, max_stage, packet_error_rate)) {
+    return detail::invalid_result();
   }
+  TrySolveResult out;
   const double per = packet_error_rate;
 
   std::vector<double> cold(w.size());

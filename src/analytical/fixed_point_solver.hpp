@@ -45,7 +45,7 @@ struct SolverOptions {
   /// iteration path, never the fixed point beyond the tolerance — but the
   /// last-ulp bits of the result may differ from a cold solve, so callers
   /// feeding bit-identical caches must stick to the canonical (empty)
-  /// start; see NetworkSolveCache.
+  /// start; SolverService never warm-starts its cached solves.
   std::vector<double> initial_tau;
 };
 

@@ -4,7 +4,9 @@
 // kernel (batch_solver.cpp) must produce bitwise-identical iterates: both
 // therefore evaluate the class-collision map through these inline helpers,
 // so there is exactly one operation order for p_c and for the sanitation
-// of a finished iterate. Nothing here is part of the public API.
+// of a finished iterate. The input checks and the kFailed/"invalid"
+// result shared by the solver entry points and SolverService live here
+// too. Nothing here is part of the public API.
 #pragma once
 
 #include <algorithm>
@@ -12,7 +14,52 @@
 #include <cstddef>
 #include <vector>
 
+#include "analytical/fixed_point_solver.hpp"
+
 namespace smac::analytical::detail {
+
+/// Model parameters every solve needs: max_stage >= 0, PER in [0, 1).
+inline bool valid_stage_and_per(int max_stage, double per) {
+  return max_stage >= 0 && per >= 0.0 && per < 1.0;
+}
+
+/// The input check of the per-node solve entry points: a non-empty
+/// profile of windows >= 1.
+inline bool valid_solve_inputs(const std::vector<int>& w, int max_stage,
+                               double per) {
+  const bool windows_valid =
+      std::all_of(w.begin(), w.end(), [](int wi) { return wi >= 1; });
+  return !w.empty() && windows_valid && valid_stage_and_per(max_stage, per);
+}
+
+/// The same check for a canonical class profile: non-empty, windows >= 1
+/// and strictly ascending, one multiplicity >= 1 per window, and a
+/// class_of map with one entry per node (the kernels take n from its
+/// size; its entries are not inspected) — exactly what classify_profile
+/// produces from a profile valid_solve_inputs accepts.
+inline bool valid_class_inputs(const ClassProfile& classes, int max_stage,
+                               double per) {
+  if (classes.window.empty() ||
+      classes.window.size() != classes.multiplicity.size()) {
+    return false;
+  }
+  std::size_t nodes = 0;
+  for (std::size_t c = 0; c < classes.window.size(); ++c) {
+    if (classes.window[c] < 1 || classes.multiplicity[c] < 1) return false;
+    if (c > 0 && classes.window[c] <= classes.window[c - 1]) return false;
+    nodes += static_cast<std::size_t>(classes.multiplicity[c]);
+  }
+  return nodes == classes.node_count() && valid_stage_and_per(max_stage, per);
+}
+
+/// What every solve entry point returns for rejected inputs: kFailed,
+/// method "invalid", empty state.
+inline TrySolveResult invalid_result() {
+  TrySolveResult out;
+  out.diagnostics.status = SolveStatus::kFailed;
+  out.diagnostics.method = "invalid";
+  return out;
+}
 
 /// x^e for integer e >= 0 by binary exponentiation: O(log e) multiplies
 /// with a deterministic operation order (std::pow(double, double) would

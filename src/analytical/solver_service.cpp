@@ -1,49 +1,44 @@
 #include "analytical/solver_service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <future>
 #include <map>
-#include <span>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
+#include "analytical/batch_solver.hpp"
+#include "analytical/solver_detail.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace smac::analytical {
 
 namespace {
 
-bool valid_solve_inputs(const std::vector<int>& w, int max_stage,
-                        double per) {
-  const bool windows_valid =
-      std::all_of(w.begin(), w.end(), [](int wi) { return wi >= 1; });
-  return !w.empty() && windows_valid && max_stage >= 0 && per >= 0.0 &&
-         per < 1.0;
-}
-
-bool valid_class_inputs(const ClassProfile& classes, int max_stage,
-                        double per) {
-  if (classes.window.empty() ||
-      classes.window.size() != classes.multiplicity.size()) {
-    return false;
-  }
-  for (std::size_t c = 0; c < classes.window.size(); ++c) {
-    if (classes.window[c] < 1 || classes.multiplicity[c] < 1) return false;
-    if (c > 0 && classes.window[c] <= classes.window[c - 1]) return false;
-  }
-  return max_stage >= 0 && per >= 0.0 && per < 1.0;
-}
-
-TrySolveResult expand_result(const TrySolveResult& collapsed,
-                             const ClassProfile& classes) {
-  TrySolveResult out;
-  out.state = expand_classes(collapsed.state, classes);
-  out.diagnostics = collapsed.diagnostics;
-  return out;
+/// SplitMix64-style avalanche: mixes each key component into the running
+/// hash with full 64-bit diffusion (vector hashing via std::hash would
+/// need a loop anyway; this keeps the combine explicit and portable).
+std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  return h;
 }
 
 }  // namespace
+
+std::size_t SolverService::KeyHash::operator()(const Key& key) const noexcept {
+  std::uint64_t h = 0x243f6a8885a308d3ULL;
+  h = mix(h, static_cast<std::uint64_t>(key.window.size()));
+  for (std::size_t c = 0; c < key.window.size(); ++c) {
+    h = mix(h, static_cast<std::uint64_t>(key.window[c]));
+    h = mix(h, static_cast<std::uint64_t>(key.multiplicity[c]));
+  }
+  h = mix(h, static_cast<std::uint64_t>(key.max_stage));
+  h = mix(h, std::bit_cast<std::uint64_t>(key.packet_error_rate));
+  return static_cast<std::size_t>(h);
+}
 
 const TrySolveResult& SolverService::Ticket::result() const {
   if (request_ == nullptr) {
@@ -58,30 +53,46 @@ const TrySolveResult& SolverService::Ticket::result() const {
   return request_->result;
 }
 
-SolverService::SolverService(Options options)
-    : options_(std::move(options)),
-      cache_(options_.solver, options_.max_cache_entries) {
-  if (options_.chunk_size == 0) options_.chunk_size = 1;
+SolverService::SolverService(Options options) : options_(options) {}
+
+std::optional<TrySolveResult> SolverService::lookup(
+    const Key& key, std::uint64_t requests) const {
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  if (const auto it = cache_.find(key); it != cache_.end()) {
+    hits_ += requests;
+    return it->second;
+  }
+  return std::nullopt;
 }
 
-SolverService::Ticket SolverService::submit(std::vector<int> w, int max_stage,
+void SolverService::adopt(Key key, const TrySolveResult& solved,
+                          std::uint64_t requests) const {
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  // Hit/miss is classified here, not at lookup: when two solvers race on
+  // the same fresh key, the loser observes the winner's entry and counts
+  // hits — exactly the serial-order tally, so the stats a bench prints
+  // stay byte-identical at any --jobs (below kMaxCacheEntries).
+  if (cache_.contains(key)) {
+    hits_ += requests;
+    return;
+  }
+  ++misses_;
+  hits_ += requests - 1;
+  if (cache_.size() < kMaxCacheEntries) {
+    cache_.emplace(std::move(key), solved);
+  }
+}
+
+void SolverService::tally_invalid() const {
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  ++misses_;
+}
+
+SolverService::Ticket SolverService::submit(ClassProfile classes,
+                                            int max_stage,
                                             double packet_error_rate) const {
   auto request = std::make_shared<Ticket::Request>();
-  request->w = std::move(w);
-  request->max_stage = max_stage;
-  request->packet_error_rate = packet_error_rate;
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    pending_.push_back(request);
-  }
-  return Ticket(this, std::move(request));
-}
-
-SolverService::Ticket SolverService::submit_classes(
-    ClassProfile classes, int max_stage, double packet_error_rate) const {
-  auto request = std::make_shared<Ticket::Request>();
   request->classes = std::move(classes);
-  request->class_level = true;
   request->max_stage = max_stage;
   request->packet_error_rate = packet_error_rate;
   {
@@ -100,75 +111,41 @@ void SolverService::drain() const {
   }
   if (batch.empty()) return;
 
-  // Group requests onto canonical symmetry-class keys in deterministic
-  // (ordered-map) order, so tally and adoption order are a function of
-  // the request set alone — never of submission interleaving.
-  struct Pending {
-    Ticket::Request* request;
-    ClassProfile classes;
+  const auto fulfill = [](Ticket::Request& request, TrySolveResult result) {
+    request.result = std::move(result);
+    request.done.store(true, std::memory_order_release);
   };
-  using GroupKey = std::tuple<std::vector<int>, std::vector<int>, int, double>;
-  std::map<GroupKey, std::vector<Pending>> groups;
+
+  // Group requests onto canonical keys in deterministic (ordered-map)
+  // order, so tally and adoption order are a function of the request set
+  // alone — never of submission interleaving.
+  std::map<Key, std::vector<Ticket::Request*>> groups;
   for (const auto& request : batch) {
-    const bool valid =
-        request->class_level
-            ? valid_class_inputs(request->classes, request->max_stage,
-                                 request->packet_error_rate)
-            : valid_solve_inputs(request->w, request->max_stage,
-                                 request->packet_error_rate);
-    if (!valid) {
-      // Same path as NetworkSolveCache::solve on invalid inputs: one
-      // miss, no entry, the solver's own kFailed/"invalid" result.
-      cache_.tally(0, 1);
-      request->result =
-          try_solve_network(request->w, request->max_stage, cache_.options(),
-                            request->packet_error_rate);
-      request->done.store(true, std::memory_order_release);
+    if (!detail::valid_class_inputs(request->classes, request->max_stage,
+                                    request->packet_error_rate)) {
+      tally_invalid();
+      fulfill(*request, detail::invalid_result());
       continue;
     }
-    ClassProfile classes = request->class_level
-                               ? request->classes
-                               : classify_profile(request->w);
-    GroupKey key{classes.window, classes.multiplicity, request->max_stage,
-                 request->packet_error_rate};
-    groups[std::move(key)].push_back({request.get(), std::move(classes)});
+    Key key{request->classes.window, request->classes.multiplicity,
+            request->max_stage, request->packet_error_rate};
+    groups[std::move(key)].push_back(request.get());
   }
 
   // Answer cached keys, collect the misses.
-  struct Miss {
-    std::vector<Pending>* requests;
-    bool hinted = false;
-  };
   std::vector<ClassProfileInstance> instances;
-  std::vector<Miss> misses;
+  std::vector<std::pair<const Key*, std::vector<Ticket::Request*>*>> misses;
   for (auto& [key, requests] : groups) {
-    const Pending& head = requests.front();
-    if (const auto cached = cache_.lookup_classes(
-            head.classes, head.request->max_stage,
-            head.request->packet_error_rate, requests.size())) {
-      for (Pending& pending : requests) {
-        pending.request->result = pending.request->class_level
-                                      ? *cached
-                                      : expand_result(*cached, pending.classes);
-        pending.request->done.store(true, std::memory_order_release);
-      }
+    if (const auto cached = lookup(key, requests.size())) {
+      for (Ticket::Request* request : requests) fulfill(*request, *cached);
       continue;
     }
     ClassProfileInstance instance;
-    instance.classes = head.classes;
-    instance.max_stage = head.request->max_stage;
-    instance.packet_error_rate = head.request->packet_error_rate;
-    instance.opts = cache_.options();
-    Miss miss{&requests, false};
-    if (options_.warm_start_neighbors) {
-      if (auto hint = cache_.neighbor_hint(head.classes, instance.max_stage,
-                                           instance.packet_error_rate)) {
-        instance.opts.initial_tau = std::move(*hint);
-        miss.hinted = true;
-      }
-    }
+    instance.classes = requests.front()->classes;
+    instance.max_stage = key.max_stage;
+    instance.packet_error_rate = key.packet_error_rate;
     instances.push_back(std::move(instance));
-    misses.push_back(miss);
+    misses.emplace_back(&key, &requests);
   }
 
   // Solve the distinct misses in lockstep, chunked across the pool when
@@ -178,9 +155,9 @@ void SolverService::drain() const {
   if (options_.pool != nullptr && instances.size() > 1) {
     std::vector<std::future<void>> chunks;
     for (std::size_t begin = 0; begin < instances.size();
-         begin += options_.chunk_size) {
+         begin += kChunkSize) {
       const std::size_t length =
-          std::min(options_.chunk_size, instances.size() - begin);
+          std::min(kChunkSize, instances.size() - begin);
       chunks.push_back(options_.pool->submit([&, begin, length] {
         std::vector<TrySolveResult> part = try_solve_classes_batch(
             {instances.data() + begin, length});
@@ -194,36 +171,39 @@ void SolverService::drain() const {
 
   // Adopt and fulfill in the same deterministic group order.
   for (std::size_t m = 0; m < misses.size(); ++m) {
-    std::vector<Pending>& requests = *misses[m].requests;
-    const Pending& head = requests.front();
-    if (misses[m].hinted) {
-      // Warm-started: answer the requests but keep the cache pure —
-      // tally as a sequential run would have (first request misses, the
-      // duplicates hit).
-      cache_.tally(requests.size() - 1, 1);
-    } else {
-      cache_.adopt_classes(head.classes, head.request->max_stage,
-                           head.request->packet_error_rate, solved[m],
-                           requests.size());
-    }
-    for (Pending& pending : requests) {
-      pending.request->result =
-          pending.request->class_level
-              ? solved[m]
-              : expand_result(solved[m], pending.classes);
-      pending.request->done.store(true, std::memory_order_release);
-    }
+    const auto& [key, requests] = misses[m];
+    adopt(*key, solved[m], requests->size());
+    for (Ticket::Request* request : *requests) fulfill(*request, solved[m]);
   }
 }
 
-TrySolveResult SolverService::solve(const std::vector<int>& w, int max_stage,
+TrySolveResult SolverService::solve(const ClassProfile& classes,
+                                    int max_stage,
                                     double packet_error_rate) const {
-  return cache_.solve(w, max_stage, packet_error_rate);
+  if (!detail::valid_class_inputs(classes, max_stage, packet_error_rate)) {
+    tally_invalid();
+    return detail::invalid_result();
+  }
+  Key key{classes.window, classes.multiplicity, max_stage,
+          packet_error_rate};
+  if (auto cached = lookup(key, 1)) return std::move(*cached);
+  // Solve outside the lock: concurrent misses on the same key may both
+  // compute, but the class solve is deterministic (canonical start, no
+  // warm hints) so they agree bitwise and insert order cannot matter.
+  TrySolveResult solved =
+      try_solve_classes(classes, max_stage, {}, packet_error_rate);
+  adopt(std::move(key), solved, 1);
+  return solved;
 }
 
 std::size_t SolverService::pending() const {
   std::lock_guard<std::mutex> lock(queue_mutex_);
   return pending_.size();
+}
+
+SolveCacheStats SolverService::cache_stats() const {
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  return {cache_.size(), hits_, misses_};
 }
 
 }  // namespace smac::analytical

@@ -1,16 +1,26 @@
-// Async request layer over the batch solver and the canonical cache.
+// The solve layer's one entry: a cached, batched front end over the
+// class-space solver.
 //
-// Callers that know several profiles ahead of needing the answers —
-// tournaments enumerating their mixes, deviation scans enumerating every
-// candidate window — submit() them all, then drain() once: the service
-// deduplicates the requests onto canonical symmetry-class keys, answers
-// what it can from the shared NetworkSolveCache, and solves the misses
-// through one try_solve_classes_batch lockstep call (chunked across a
-// parallel::ThreadPool when one is provided). Results are bitwise
-// identical to per-request NetworkSolveCache::solve calls, and the cache
-// traffic counters advance exactly as the same requests would have
-// advanced them sequentially — so stats printed by benches are
-// independent of batching and of --jobs.
+// Every request is a canonical ClassProfile (windows strictly ascending,
+// multiplicities >= 1 — exactly what classify_profile produces) plus
+// (max_stage, PER); every answer stays in class space (tau/p sized k) and
+// callers expand it with their own class_of map via expand_classes.
+// Solutions are memoized on the canonical key, so every permutation of a
+// solved profile is a hit, and concurrent tournament workers and
+// repeated-game engines share solutions safely.
+//
+// Two ways in, one cache:
+//   * solve() — blocking: one locked lookup, a try_solve_classes on a miss;
+//   * submit()/drain() — callers that know several profiles ahead of
+//     needing the answers (tournament openings, deviation scans,
+//     city-scale neighbourhoods) queue them all and drain once: the
+//     service groups the requests by key, answers cached keys, and solves
+//     the distinct misses through one try_solve_classes_batch lockstep
+//     call (chunked across a parallel::ThreadPool when one is provided).
+// Both paths return bitwise-identical results (try_solve_classes is a
+// batch of one), and the traffic counters advance exactly as the same
+// requests would have advanced them through sequential solve() calls —
+// so stats printed by benches are independent of batching and of --jobs.
 //
 // Threading: submit() and solve() are safe from any thread. drain() is
 // serialized internally; it must not be called from a task running on the
@@ -21,12 +31,14 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
-#include "analytical/batch_solver.hpp"
-#include "analytical/solver_cache.hpp"
+#include "analytical/fixed_point_solver.hpp"
 
 namespace smac::parallel {
 class ThreadPool;
@@ -34,30 +46,34 @@ class ThreadPool;
 
 namespace smac::analytical {
 
+/// Monotone counters of the service's cache traffic, read in one lock.
+struct SolveCacheStats {
+  std::size_t size = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
 /// Batched, cached front end to the class-space solver.
+///
+/// Every solve uses default SolverOptions with no warm start: cached
+/// values must be pure functions of the key, or insert order under
+/// concurrency would make last-ulp bits scheduling-dependent and break
+/// the bit-identical-at-any---jobs contract.
 class SolverService {
  public:
   struct Options {
-    /// Model options shared by every solve (initial_tau is stripped —
-    /// the cache key must stay pure; see NetworkSolveCache).
-    SolverOptions solver;
-    /// Insert cap forwarded to the owned NetworkSolveCache.
-    std::size_t max_cache_entries = 1 << 16;
-    /// Instances per pool task when a pool is set; also the unit in which
-    /// an inline drain walks the miss list. Purely a scheduling knob —
-    /// results do not depend on it.
-    std::size_t chunk_size = 64;
-    /// Warm-start cache misses from the nearest cached neighbor key
-    /// (NetworkSolveCache::neighbor_hint). Off by default: hinted solves
-    /// can differ from cold solves in the last ulp and are therefore
-    /// answered to the requester but never inserted into the cache, so
-    /// this mode trades the bitwise-reproducibility of *service* results
-    /// (not cache purity) for faster convergence on sweep workloads.
-    bool warm_start_neighbors = false;
     /// Optional pool to chunk miss batches across. Not owned; must
     /// outlive the service. nullptr solves misses on the draining thread.
     parallel::ThreadPool* pool = nullptr;
   };
+
+  /// Instances per pool task when a pool is set. Purely a scheduling
+  /// unit — results do not depend on it.
+  static constexpr std::size_t kChunkSize = 64;
+  /// Insertion stops at this many entries (lookups still hit), bounding
+  /// memory on adversarial profile streams. Past the cap the insertion
+  /// set — and so the hit/miss split — becomes schedule-dependent.
+  static constexpr std::size_t kMaxCacheEntries = 1 << 16;
 
   /// Handle to one submitted request. Cheap to copy; result() drains the
   /// owning service as needed, so a ticket can be redeemed at any time
@@ -72,20 +88,16 @@ class SolverService {
              request_->done.load(std::memory_order_acquire);
     }
 
-    /// The per-node solve result (bitwise equal to
-    /// NetworkSolveCache::solve on the same inputs). Drains the service
-    /// if the request is still pending; blocks while another thread's
-    /// drain is processing it. Throws if the ticket is default-made.
+    /// The class-space solve result (bitwise equal to solve() on the
+    /// same inputs). Drains the service if the request is still pending;
+    /// blocks while another thread's drain is processing it. Throws if
+    /// the ticket is default-made.
     const TrySolveResult& result() const;
 
    private:
     friend class SolverService;
     struct Request {
-      std::vector<int> w;
-      /// Set (with class_level) by submit_classes: the request is already
-      /// in canonical class space and its result stays collapsed.
       ClassProfile classes;
-      bool class_level = false;
       int max_stage = 0;
       double packet_error_rate = 0.0;
       TrySolveResult result;
@@ -101,44 +113,67 @@ class SolverService {
   SolverService() : SolverService(Options{}) {}
   explicit SolverService(Options options);
 
-  /// Enqueues one (profile, max_stage, PER) request. No solving happens
-  /// until drain() — submit everything a phase needs first.
-  Ticket submit(std::vector<int> w, int max_stage,
+  /// Enqueues one canonical class request (as classify_profile builds
+  /// it; the key is the window/multiplicity multiset, and class_of only
+  /// supplies the node count). No solving happens until drain() — submit
+  /// everything a phase needs first.
+  Ticket submit(ClassProfile classes, int max_stage,
                 double packet_error_rate) const;
 
-  /// Enqueues one *pre-classified* request. `classes` must be canonical —
-  /// windows strictly ascending, multiplicities >= 1, exactly what
-  /// classify_profile produces (class_of may be empty; only the
-  /// window/multiplicity multiset is used here). The ticket's result
-  /// stays in class space (state size == class_count); callers expand
-  /// with their own class_of maps via expand_classes. Shares cache keys,
-  /// dedup groups, and traffic accounting with submit(), so a class-level
-  /// and a per-node request for the same multiset cost one solve. The
-  /// city-scale path (multihop::price_neighborhoods) lives on this entry:
-  /// a 10^4-node stage submits only its distinct neighborhood classes.
-  Ticket submit_classes(ClassProfile classes, int max_stage,
-                        double packet_error_rate) const;
-
-  /// Fulfills every pending request: answers duplicates and cached keys
-  /// from the NetworkSolveCache, batch-solves the distinct misses, adopts
-  /// the results. Requests submitted concurrently with a drain land in
-  /// the next drain.
+  /// Fulfills every pending request: answers duplicates and cached keys,
+  /// batch-solves the distinct misses, caches the results. Requests
+  /// submitted concurrently with a drain land in the next drain.
   void drain() const;
 
-  /// Blocking single solve, bypassing the queue: exactly
-  /// NetworkSolveCache::solve (same result bits, same stats accounting).
-  TrySolveResult solve(const std::vector<int>& w, int max_stage,
+  /// Blocking single solve, bypassing the queue, with the same result
+  /// bits and the same traffic accounting as a one-request drain: a hit
+  /// on a cached key; one miss (and an entry) on a fresh key — or a hit
+  /// when a concurrent solver inserted the key first; one miss and no
+  /// entry for a non-canonical or out-of-range request, which returns
+  /// kFailed/"invalid" with an empty state.
+  TrySolveResult solve(const ClassProfile& classes, int max_stage,
                        double packet_error_rate) const;
 
   /// Number of requests waiting for the next drain().
   std::size_t pending() const;
 
-  SolveCacheStats cache_stats() const { return cache_.stats(); }
-  const NetworkSolveCache& cache() const noexcept { return cache_; }
+  SolveCacheStats cache_stats() const;
 
  private:
+  /// Canonical class key: (distinct windows asc, multiplicities,
+  /// max_stage, PER). Profiles that are permutations of each other
+  /// collapse to the same key.
+  struct Key {
+    std::vector<int> window;
+    std::vector<int> multiplicity;
+    int max_stage = 0;
+    double packet_error_rate = 0.0;
+
+    auto operator<=>(const Key& other) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const noexcept;
+  };
+
+  /// The cached class-space result for `key`, counting `requests` hits;
+  /// nullopt (counting nothing) on a miss.
+  std::optional<TrySolveResult> lookup(const Key& key,
+                                       std::uint64_t requests) const;
+  /// Caches a freshly solved result for `key`, tallying what `requests`
+  /// sequential solve() calls would have: all hits if a racing writer
+  /// inserted the key first, else one miss plus `requests − 1` hits.
+  void adopt(Key key, const TrySolveResult& solved,
+             std::uint64_t requests) const;
+  /// Counts one miss for a request rejected by valid_class_inputs.
+  void tally_invalid() const;
+
   Options options_;
-  NetworkSolveCache cache_;
+  mutable std::mutex cache_mutex_;  ///< guards cache_, hits_, misses_
+  /// Values are class-space results: compact, and one entry serves every
+  /// permutation of the profile.
+  mutable std::unordered_map<Key, TrySolveResult, KeyHash> cache_;
+  mutable std::uint64_t hits_ = 0;
+  mutable std::uint64_t misses_ = 0;
   mutable std::mutex queue_mutex_;  ///< guards pending_
   mutable std::vector<std::shared_ptr<Ticket::Request>> pending_;
   mutable std::mutex drain_mutex_;  ///< serializes drain bodies

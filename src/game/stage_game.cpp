@@ -17,45 +17,72 @@ StageGame::StageGame(phy::Parameters params, phy::AccessMode mode,
   params_.validate();
 }
 
-std::vector<double> StageGame::utility_rates(const std::vector<int>& w) const {
-  if (w.empty()) throw std::invalid_argument("StageGame: empty profile");
-  for (const int wi : w) {
-    if (wi < 1) throw std::invalid_argument("StageGame: window < 1");
-  }
-  // Routed through the canonical solve cache: repeated games replay the
-  // same profile stage after stage, and deviation scans revisit
-  // permutations of one-deviant profiles — all of which collapse to a
-  // handful of class keys.
-  const analytical::TrySolveResult solved = solver_.solve(
-      w, params_.max_backoff_stage, params_.packet_error_rate);
-  return analytical::utility_rates(solved.state, params_, mode_);
-}
-
-std::vector<double> StageGame::stage_utilities(
-    const std::vector<int>& w) const {
-  std::vector<double> u = utility_rates(w);
-  const double t_us = stage_duration_us();
-  for (double& v : u) v *= t_us;
-  return u;
-}
-
-StageGame::StagePayoffs StageGame::try_stage_utilities(
-    const std::vector<int>& w, std::optional<double> per_override) const {
-  if (w.empty()) {
-    StagePayoffs out;
+template <typename Solve>
+StageGame::StagePayoffs StageGame::price(
+    const analytical::ClassProfile& classes, Solve&& solve,
+    bool price_unusable) const {
+  StagePayoffs out;
+  if (classes.class_count() == 0) {
     out.diagnostics.status = analytical::SolveStatus::kFailed;
     out.diagnostics.method = "invalid";
     return out;
   }
-  const double per = per_override.value_or(params_.packet_error_rate);
-  const analytical::TrySolveResult solved =
-      solver_.solve(w, params_.max_backoff_stage, per);
-  StagePayoffs out;
+  const analytical::TrySolveResult& solved = solve();
   out.diagnostics = solved.diagnostics;
-  if (analytical::usable(solved.diagnostics.status)) {
-    out.utilities = analytical::utility_rates(solved.state, params_, mode_);
+  if (price_unusable || analytical::usable(solved.diagnostics.status)) {
+    out.utilities = analytical::utility_rates(
+        analytical::expand_classes(solved.state, classes), params_, mode_);
     const double t_us = stage_duration_us();
     for (double& v : out.utilities) v *= t_us;
+  }
+  return out;
+}
+
+std::vector<double> StageGame::stage_utilities(
+    const std::vector<int>& w) const {
+  if (w.empty()) throw std::invalid_argument("StageGame: empty profile");
+  for (const int wi : w) {
+    if (wi < 1) throw std::invalid_argument("StageGame: window < 1");
+  }
+  const analytical::ClassProfile classes = analytical::classify_profile(w);
+  return price(
+             classes,
+             [&] {
+               return solver_.solve(classes, params_.max_backoff_stage,
+                                    params_.packet_error_rate);
+             },
+             /*price_unusable=*/true)
+      .utilities;
+}
+
+StageGame::StagePayoffs StageGame::try_stage_utilities(
+    const std::vector<int>& w, std::optional<double> per_override) const {
+  const double per = per_override.value_or(params_.packet_error_rate);
+  const analytical::ClassProfile classes = analytical::classify_profile(w);
+  return price(classes, [&] {
+    return solver_.solve(classes, params_.max_backoff_stage, per);
+  });
+}
+
+std::vector<StageGame::StagePayoffs> StageGame::price_batch(
+    const std::vector<analytical::ClassProfile>& profiles,
+    std::optional<double> per_override) const {
+  const double per = per_override.value_or(params_.packet_error_rate);
+  std::vector<analytical::SolverService::Ticket> tickets(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    if (profiles[i].class_count() > 0) {
+      tickets[i] =
+          solver_.submit(profiles[i], params_.max_backoff_stage, per);
+    }
+  }
+  solver_.drain();
+  std::vector<StagePayoffs> out;
+  out.reserve(profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    out.push_back(
+        price(profiles[i], [&]() -> const analytical::TrySolveResult& {
+          return tickets[i].result();
+        }));
   }
   return out;
 }
@@ -63,89 +90,36 @@ StageGame::StagePayoffs StageGame::try_stage_utilities(
 std::vector<StageGame::StagePayoffs> StageGame::try_stage_utilities_batch(
     const std::vector<std::vector<int>>& profiles,
     std::optional<double> per_override) const {
-  const double per = per_override.value_or(params_.packet_error_rate);
-  std::vector<analytical::SolverService::Ticket> tickets(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (!profiles[i].empty()) {
-      tickets[i] =
-          solver_.submit(profiles[i], params_.max_backoff_stage, per);
-    }
+  std::vector<analytical::ClassProfile> classes;
+  classes.reserve(profiles.size());
+  for (const std::vector<int>& w : profiles) {
+    classes.push_back(analytical::classify_profile(w));
   }
-  solver_.drain();
-  std::vector<StagePayoffs> out(profiles.size());
-  const double t_us = stage_duration_us();
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (profiles[i].empty()) {
-      out[i].diagnostics.status = analytical::SolveStatus::kFailed;
-      out[i].diagnostics.method = "invalid";
-      continue;
-    }
-    const analytical::TrySolveResult& solved = tickets[i].result();
-    out[i].diagnostics = solved.diagnostics;
-    if (analytical::usable(solved.diagnostics.status)) {
-      out[i].utilities =
-          analytical::utility_rates(solved.state, params_, mode_);
-      for (double& v : out[i].utilities) v *= t_us;
-    }
-  }
-  return out;
+  return price_batch(classes, per_override);
 }
 
 std::vector<StageGame::ClassPayoffs> StageGame::try_class_utilities_batch(
     const std::vector<analytical::ClassProfile>& profiles,
     std::optional<double> per_override) const {
-  const double per = per_override.value_or(params_.packet_error_rate);
-  std::vector<analytical::SolverService::Ticket> tickets(profiles.size());
+  std::vector<ClassPayoffs> out = price_batch(profiles, per_override);
   for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (!profiles[i].window.empty()) {
-      tickets[i] = solver_.submit_classes(profiles[i],
-                                          params_.max_backoff_stage, per);
-    }
-  }
-  solver_.drain();
-  std::vector<ClassPayoffs> out(profiles.size());
-  const double t_us = stage_duration_us();
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (profiles[i].window.empty()) {
-      out[i].diagnostics.status = analytical::SolveStatus::kFailed;
-      out[i].diagnostics.method = "invalid";
-      continue;
-    }
-    const analytical::TrySolveResult& solved = tickets[i].result();
-    out[i].diagnostics = solved.diagnostics;
-    if (!analytical::usable(solved.diagnostics.status)) continue;
-    // utility_rates needs the full per-node vectors (the slot time is a
-    // global quantity), so expand, price, and compress back to one entry
-    // per class — the representative's value IS the class value, since
-    // nodes of a class share tau/p bit-for-bit.
-    const analytical::NetworkState full =
-        analytical::expand_classes(solved.state, profiles[i]);
-    const std::vector<double> u =
-        analytical::utility_rates(full, params_, mode_);
+    if (out[i].utilities.empty()) continue;
+    // Compress back to one entry per class: the first node of a class
+    // carries the class value, since nodes of a class share tau/p
+    // bit-for-bit.
     const std::size_t k = profiles[i].class_count();
-    out[i].utilities.assign(k, 0.0);
+    std::vector<double> per_class(k, 0.0);
     std::vector<char> seen(k, 0);
     for (std::size_t node = 0; node < profiles[i].node_count(); ++node) {
       const auto c = static_cast<std::size_t>(profiles[i].class_of[node]);
       if (!seen[c]) {
         seen[c] = 1;
-        out[i].utilities[c] = u[node] * t_us;
+        per_class[c] = out[i].utilities[node];
       }
     }
+    out[i].utilities = std::move(per_class);
   }
   return out;
-}
-
-void StageGame::prefetch_profiles(const std::vector<std::vector<int>>& profiles,
-                                  std::optional<double> per_override) const {
-  const double per = per_override.value_or(params_.packet_error_rate);
-  bool submitted = false;
-  for (const std::vector<int>& w : profiles) {
-    if (w.empty()) continue;
-    solver_.submit(w, params_.max_backoff_stage, per);
-    submitted = true;
-  }
-  if (submitted) solver_.drain();
 }
 
 double StageGame::homogeneous_utility_rate(int w, int n) const {

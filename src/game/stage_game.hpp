@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "analytical/fixed_point_solver.hpp"
-#include "analytical/solver_cache.hpp"
 #include "analytical/solver_service.hpp"
 #include "phy/parameters.hpp"
 
@@ -45,19 +44,19 @@ class StageGame {
     return params_.stage_duration_s * 1e6;
   }
 
-  /// Per-node utility *rates* (gain per µs) for an arbitrary profile.
-  std::vector<double> utility_rates(const std::vector<int>& w) const;
-
   /// Per-node stage payoffs U_i^s = u_i·T for an arbitrary profile.
+  /// Throws std::invalid_argument on an empty profile or a window < 1;
+  /// otherwise prices the solver's sanitized state whatever its status.
   std::vector<double> stage_utilities(const std::vector<int>& w) const;
 
   /// Non-throwing stage payoffs: per-node payoffs plus the solver
-  /// diagnostics. `per_override` replaces the configured packet error rate
-  /// (fault injection layers bursty loss on top of the base PER). Routed
-  /// through a thread-safe memo keyed on (profile, max_stage, PER), so
-  /// repeated games and tournaments that revisit the same profile —
-  /// especially after a fault knocks the history back to a prior state —
-  /// pay for each solve once.
+  /// diagnostics; `utilities` stays empty when the solve is unusable (an
+  /// empty profile yields kFailed/"invalid" without reaching the solver).
+  /// `per_override` replaces the configured packet error rate (fault
+  /// injection layers bursty loss on top of the base PER). Routed through
+  /// the solver service's canonical cache, so repeated games and
+  /// tournaments that revisit a profile — or any permutation of it — pay
+  /// for each solve once.
   struct StagePayoffs {
     std::vector<double> utilities;
     analytical::SolveDiagnostics diagnostics;
@@ -69,9 +68,9 @@ class StageGame {
   /// Batched try_stage_utilities: submits every profile to the solver
   /// service, drains once, and returns the payoffs in input order. Each
   /// element is bitwise equal to the corresponding sequential
-  /// try_stage_utilities call (the batch kernel's identity contract);
-  /// only the solver work is shared — empty profiles short-circuit to the
-  /// same kFailed/"invalid" payoffs as the sequential path.
+  /// try_stage_utilities call, with the same cache traffic; only the
+  /// solver work is shared. Callers that only want the cache warm for
+  /// later sequential calls discard the result.
   std::vector<StagePayoffs> try_stage_utilities_batch(
       const std::vector<std::vector<int>>& profiles,
       std::optional<double> per_override = std::nullopt) const;
@@ -84,21 +83,10 @@ class StageGame {
   /// city-scale entry point: a 10^4-node stage submits only its distinct
   /// (neighborhood-size, window-mix, PER) classes and expands per node
   /// afterwards. Profiles with no classes yield kFailed/"invalid".
-  struct ClassPayoffs {
-    std::vector<double> utilities;  ///< per class, stage payoff u·T
-    analytical::SolveDiagnostics diagnostics;
-  };
+  using ClassPayoffs = StagePayoffs;  ///< utilities sized class_count()
   std::vector<ClassPayoffs> try_class_utilities_batch(
       const std::vector<analytical::ClassProfile>& profiles,
       std::optional<double> per_override = std::nullopt) const;
-
-  /// Warms the solve cache for a set of profiles in one batched drain.
-  /// Later utility_rates / try_stage_utilities calls on these profiles
-  /// (or any permutation of them) are cache hits. Invalid profiles are
-  /// ignored.
-  void prefetch_profiles(const std::vector<std::vector<int>>& profiles,
-                         std::optional<double> per_override =
-                             std::nullopt) const;
 
   /// Utility rate of one node when all n nodes play w (memoized).
   double homogeneous_utility_rate(int w, int n) const;
@@ -112,26 +100,37 @@ class StageGame {
   /// Normalized global payoff U/C (Figures 2–3 y-axis).
   double normalized_global_payoff(int w, int n) const;
 
-  /// Traffic counters of the shared heterogeneous solve cache (both
-  /// utility_rates and try_stage_utilities route through it); benches
-  /// print these to show how much of a run the class-canonical key
+  /// Traffic counters of the solver service's cache (every
+  /// heterogeneous payoff entry point routes through it); benches print
+  /// these to show how much of a run the class-canonical key
   /// deduplicates.
   analytical::SolveCacheStats solve_cache_stats() const {
     return solver_.cache_stats();
   }
 
-  /// The batched solver front end every heterogeneous evaluation routes
-  /// through (see docs/SOLVER_API.md).
-  const analytical::SolverService& solver_service() const noexcept {
-    return solver_;
-  }
-
  private:
+  /// The one pricing step of every heterogeneous entry point. A profile
+  /// with no classes short-circuits to kFailed/"invalid" without calling
+  /// `solve`; otherwise `solve()` yields the class-space result, which is
+  /// expanded through class_of, priced with analytical::utility_rates and
+  /// scaled by T — when the solve is usable, or whatever its status with
+  /// `price_unusable`.
+  template <typename Solve>
+  StagePayoffs price(const analytical::ClassProfile& classes, Solve&& solve,
+                     bool price_unusable = false) const;
+  /// Submits every profile with classes, drains once, and prices each
+  /// node of every profile in input order.
+  std::vector<StagePayoffs> price_batch(
+      const std::vector<analytical::ClassProfile>& profiles,
+      std::optional<double> per_override) const;
+
   phy::Parameters params_;
   phy::AccessMode mode_;
   mutable std::mutex cache_mutex_;
   mutable std::map<std::pair<int, int>, double> homogeneous_cache_;
-  mutable analytical::SolverService solver_;
+  /// Every heterogeneous evaluation routes through this service (see
+  /// docs/SOLVER_API.md).
+  analytical::SolverService solver_;
 };
 
 }  // namespace smac::game

@@ -162,8 +162,9 @@ std::vector<std::vector<bool>> Tournament::invasion_matrix(
   }
   // Every pair's stage-0 profiles (one mutant among residents, and the
   // pure-resident counterfactual) are known upfront: warm the shared
-  // solve cache in one batched drain so the fan-out's opening solves are
-  // hits instead of duplicated misses across workers.
+  // solve cache in one batched drain (the payoffs themselves are
+  // discarded) so the fan-out's opening solves are hits instead of
+  // duplicated misses across workers.
   if (const std::vector<int> opening = opening_windows(roster);
       !opening.empty()) {
     std::set<std::vector<int>> distinct;
@@ -174,7 +175,7 @@ std::vector<std::vector<bool>> Tournament::invasion_matrix(
       distinct.insert(
           std::vector<int>(static_cast<std::size_t>(n_), opening[i]));
     }
-    game_.prefetch_profiles({distinct.begin(), distinct.end()});
+    (void)game_.try_stage_utilities_batch({distinct.begin(), distinct.end()});
   }
   // std::vector<bool> is bit-packed, so concurrent writes to matrix[i][j]
   // would race; stage into a byte vector instead.
@@ -218,7 +219,7 @@ std::vector<double> Tournament::round_robin_scores(
       std::fill_n(profile.begin(), mix.count_a, opening[mix.i]);
       distinct.insert(std::move(profile));
     }
-    game_.prefetch_profiles({distinct.begin(), distinct.end()});
+    (void)game_.try_stage_utilities_batch({distinct.begin(), distinct.end()});
   }
   std::vector<double> payoff_a(mixes.size(), 0.0);
   fan_out(mixes.size(), jobs_, [&](std::size_t k) {

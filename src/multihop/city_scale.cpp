@@ -100,7 +100,7 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
   out.payoff.assign(index.node_count(), 0.0);
 
   // One class request per active node. The canonical dedup lives in the
-  // SolverService/NetworkSolveCache layer: the drain groups identical
+  // SolverService's cache: the drain groups identical
   // (window, multiplicity) multisets onto one solve and tallies the
   // duplicates as cache hits — so SolveCacheStats records exactly how
   // much of the stage the symmetry collapse absorbed (the class-collapse

@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "analytical/solver_cache.hpp"
+#include "analytical/solver_service.hpp"
 #include "game/stage_game.hpp"
 #include "multihop/pdes.hpp"
 #include "multihop/spatial_index.hpp"

@@ -33,7 +33,7 @@
 #include "analytical/backoff_chain.hpp"
 #include "analytical/delay.hpp"
 #include "analytical/fixed_point_solver.hpp"
-#include "analytical/solver_cache.hpp"
+#include "analytical/solver_service.hpp"
 #include "analytical/throughput.hpp"
 #include "analytical/utility.hpp"
 

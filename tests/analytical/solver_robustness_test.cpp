@@ -1,14 +1,15 @@
 // Robustness of the non-throwing solver entry points: edge profiles that
 // historically aborted sweeps must now come back as a SolveStatus with
 // finite state, and the clamped window_for_tau must return its cap rather
-// than throwing mid-sweep. Also covers the thread-safe NetworkSolveCache.
+// than throwing mid-sweep. Also covers the thread-safe network solve cache
+// behind SolverService::solve.
 #include <cmath>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "analytical/fixed_point_solver.hpp"
-#include "analytical/solver_cache.hpp"
+#include "analytical/solver_service.hpp"
 #include "gtest/gtest.h"
 
 namespace {
@@ -27,6 +28,16 @@ void expect_finite_state(const TrySolveResult& r, std::size_t n) {
     EXPECT_LE(r.state.p[i], 1.0);
   }
   EXPECT_TRUE(std::isfinite(r.diagnostics.residual));
+}
+
+/// SolverService::solve on a per-node profile, expanded back per node.
+TrySolveResult solve_nodes(const SolverService& service,
+                           const std::vector<int>& w, int max_stage,
+                           double per) {
+  const ClassProfile classes = classify_profile(w);
+  TrySolveResult out = service.solve(classes, max_stage, per);
+  out.state = expand_classes(out.state, classes);
+  return out;
 }
 
 TEST(SolverRobustness, AllGreedyWindowOneNeverThrows) {
@@ -131,30 +142,29 @@ TEST(WindowForTau, RoundTripsReachableTargets) {
 }
 
 TEST(NetworkSolveCache, HitsAndMissesAreCounted) {
-  NetworkSolveCache cache;
+  SolverService service;
+  EXPECT_EQ(service.cache_stats().size, 0u);
   const std::vector<int> w{16, 32};
-  const TrySolveResult first = cache.solve(w, 5, 0.0);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), 0u);
-  const TrySolveResult second = cache.solve(w, 5, 0.0);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
+  const TrySolveResult first = solve_nodes(service, w, 5, 0.0);
+  EXPECT_EQ(service.cache_stats().misses, 1u);
+  EXPECT_EQ(service.cache_stats().hits, 0u);
+  const TrySolveResult second = solve_nodes(service, w, 5, 0.0);
+  EXPECT_EQ(service.cache_stats().hits, 1u);
+  EXPECT_EQ(service.cache_stats().size, 1u);
   for (std::size_t i = 0; i < w.size(); ++i) {
     EXPECT_EQ(first.state.tau[i], second.state.tau[i]);
   }
   // Distinct PER / max_stage are distinct keys.
-  (void)cache.solve(w, 5, 0.1);
-  (void)cache.solve(w, 6, 0.0);
-  EXPECT_EQ(cache.misses(), 3u);
-  EXPECT_EQ(cache.size(), 3u);
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
+  (void)solve_nodes(service, w, 5, 0.1);
+  (void)solve_nodes(service, w, 6, 0.0);
+  EXPECT_EQ(service.cache_stats().misses, 3u);
+  EXPECT_EQ(service.cache_stats().size, 3u);
 }
 
 TEST(NetworkSolveCache, MatchesDirectSolve) {
-  NetworkSolveCache cache;
+  SolverService service;
   const std::vector<int> w{8, 64, 256};
-  const TrySolveResult cached = cache.solve(w, 5, 0.2);
+  const TrySolveResult cached = solve_nodes(service, w, 5, 0.2);
   const TrySolveResult direct = try_solve_network(w, 5, {}, 0.2);
   ASSERT_EQ(cached.state.tau.size(), direct.state.tau.size());
   for (std::size_t i = 0; i < w.size(); ++i) {
@@ -164,15 +174,16 @@ TEST(NetworkSolveCache, MatchesDirectSolve) {
 }
 
 TEST(NetworkSolveCache, ConcurrentMixedProfileLookupsAreSafe) {
-  NetworkSolveCache cache;
+  SolverService service;
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
   std::vector<double> tau0(kThreads, -1.0);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &tau0, t] {
+    threads.emplace_back([&service, &tau0, t] {
       for (int rep = 0; rep < 20; ++rep) {
         const std::vector<int> w{16 + rep % 3, 32, 64};
-        tau0[static_cast<std::size_t>(t)] = cache.solve(w, 5, 0.0).state.tau[0];
+        tau0[static_cast<std::size_t>(t)] =
+            solve_nodes(service, w, 5, 0.0).state.tau[0];
       }
     });
   }
@@ -180,8 +191,9 @@ TEST(NetworkSolveCache, ConcurrentMixedProfileLookupsAreSafe) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(tau0[static_cast<std::size_t>(t)], tau0[0]);
   }
-  EXPECT_GE(cache.hits() + cache.misses(), 80u);
-  EXPECT_EQ(cache.size(), 3u);
+  const SolveCacheStats stats = service.cache_stats();
+  EXPECT_GE(stats.hits + stats.misses, 80u);
+  EXPECT_EQ(stats.size, 3u);
 }
 
 }  // namespace

@@ -1,17 +1,18 @@
 // SolverService: async submit/drain semantics over the canonical cache.
 //
 // The service's contract (src/analytical/solver_service.hpp): every
-// ticket resolves to bits equal to a direct NetworkSolveCache::solve /
+// ticket resolves to class-space bits that expand to a direct
 // try_solve_network call, the cache traffic counters advance exactly as
-// the same requests would have sequentially, pool-chunked drains change
-// nothing, and tickets can be redeemed lazily (result() drains on
-// demand).
+// the same requests would have through sequential solve() calls,
+// pool-chunked drains change nothing, and tickets can be redeemed lazily
+// (result() drains on demand).
 #include "analytical/solver_service.hpp"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -29,15 +30,24 @@ void expect_bits_equal(const std::vector<double>& a,
   }
 }
 
+/// `got` is the class-space answer for profile `w`.
 void expect_matches_direct(const TrySolveResult& got,
                            const std::vector<int>& w, int max_stage,
-                           double per, const SolverOptions& opts) {
-  const TrySolveResult direct = try_solve_network(w, max_stage, opts, per);
-  expect_bits_equal(got.state.tau, direct.state.tau);
-  expect_bits_equal(got.state.p, direct.state.p);
+                           double per) {
+  const TrySolveResult direct = try_solve_network(w, max_stage, {}, per);
+  const NetworkState expanded =
+      expand_classes(got.state, classify_profile(w));
+  expect_bits_equal(expanded.tau, direct.state.tau);
+  expect_bits_equal(expanded.p, direct.state.p);
   EXPECT_EQ(got.diagnostics.status, direct.diagnostics.status);
   EXPECT_EQ(got.diagnostics.iterations, direct.diagnostics.iterations);
   EXPECT_STREQ(got.diagnostics.method, direct.diagnostics.method);
+}
+
+SolverService::Ticket submit(const SolverService& service,
+                             const std::vector<int>& w, int max_stage,
+                             double per) {
+  return service.submit(classify_profile(w), max_stage, per);
 }
 
 TEST(SolverServiceTest, TicketsMatchDirectSolves) {
@@ -45,14 +55,13 @@ TEST(SolverServiceTest, TicketsMatchDirectSolves) {
   const std::vector<std::vector<int>> profiles{
       {16, 16, 32}, {32, 16, 16}, {1, 1024}, {8, 8, 8, 8}};
   std::vector<SolverService::Ticket> tickets;
-  for (const auto& w : profiles) tickets.push_back(service.submit(w, 6, 0.1));
+  for (const auto& w : profiles) tickets.push_back(submit(service, w, 6, 0.1));
   EXPECT_EQ(service.pending(), profiles.size());
   service.drain();
   EXPECT_EQ(service.pending(), 0u);
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     ASSERT_TRUE(tickets[i].ready());
-    expect_matches_direct(tickets[i].result(), profiles[i], 6, 0.1,
-                          service.cache().options());
+    expect_matches_direct(tickets[i].result(), profiles[i], 6, 0.1);
   }
 }
 
@@ -61,10 +70,10 @@ TEST(SolverServiceTest, StatsMirrorSequentialRequests) {
   // solve() calls would count 2 misses (two distinct keys) + 2 hits (the
   // permutation and the repeat). A single drain must tally identically.
   SolverService service;
-  service.submit({16, 16, 32}, 6, 0.1);
-  service.submit({32, 16, 16}, 6, 0.1);
-  service.submit({1, 1024}, 6, 0.1);
-  service.submit({16, 16, 32}, 6, 0.1);
+  submit(service, {16, 16, 32}, 6, 0.1);
+  submit(service, {32, 16, 16}, 6, 0.1);
+  submit(service, {1, 1024}, 6, 0.1);
+  submit(service, {16, 16, 32}, 6, 0.1);
   service.drain();
   const SolveCacheStats stats = service.cache_stats();
   EXPECT_EQ(stats.size, 2u);
@@ -72,7 +81,7 @@ TEST(SolverServiceTest, StatsMirrorSequentialRequests) {
   EXPECT_EQ(stats.hits, 2u);
 
   // A second drain of an already-cached profile is pure hits.
-  service.submit({16, 32, 16}, 6, 0.1);
+  submit(service, {16, 32, 16}, 6, 0.1);
   service.drain();
   EXPECT_EQ(service.cache_stats().hits, 3u);
   EXPECT_EQ(service.cache_stats().misses, 2u);
@@ -80,27 +89,40 @@ TEST(SolverServiceTest, StatsMirrorSequentialRequests) {
 
 TEST(SolverServiceTest, ResultDrainsOnDemand) {
   SolverService service;
-  SolverService::Ticket ticket = service.submit({64, 64, 8}, 6, 0.0);
+  SolverService::Ticket ticket = submit(service, {64, 64, 8}, 6, 0.0);
   EXPECT_FALSE(ticket.ready());
-  expect_matches_direct(ticket.result(), {64, 64, 8}, 6, 0.0,
-                        service.cache().options());  // implicit drain
+  expect_matches_direct(ticket.result(), {64, 64, 8}, 6,
+                        0.0);  // implicit drain
   EXPECT_TRUE(ticket.ready());
   EXPECT_EQ(service.pending(), 0u);
 }
 
 TEST(SolverServiceTest, InvalidRequestsFailLikeDirectCalls) {
   SolverService service;
-  SolverService::Ticket empty = service.submit({}, 6, 0.0);
-  SolverService::Ticket bad_window = service.submit({0, 16}, 6, 0.0);
-  SolverService::Ticket bad_per = service.submit({16}, 6, 1.0);
+  SolverService::Ticket empty = submit(service, {}, 6, 0.0);
+  SolverService::Ticket bad_window = submit(service, {0, 16}, 6, 0.0);
+  SolverService::Ticket bad_per = submit(service, {16}, 6, 1.0);
+  // Not canonical: windows out of order, or a class_of that disagrees
+  // with the multiplicities.
+  ClassProfile unsorted = classify_profile({16, 32});
+  std::swap(unsorted.window[0], unsorted.window[1]);
+  ClassProfile short_map = classify_profile({16, 16, 32});
+  short_map.class_of.pop_back();
+  SolverService::Ticket bad_order = service.submit(unsorted, 6, 0.0);
+  SolverService::Ticket bad_map = service.submit(short_map, 6, 0.0);
   service.drain();
-  for (const auto* ticket : {&empty, &bad_window, &bad_per}) {
+  for (const auto* ticket :
+       {&empty, &bad_window, &bad_per, &bad_order, &bad_map}) {
     EXPECT_EQ(ticket->result().diagnostics.status, SolveStatus::kFailed);
     EXPECT_STREQ(ticket->result().diagnostics.method, "invalid");
+    EXPECT_TRUE(ticket->result().state.tau.empty());
   }
-  // Invalid requests tally as misses without inserting (same as
-  // NetworkSolveCache::solve).
-  EXPECT_EQ(service.cache_stats().misses, 3u);
+  // Invalid requests tally as misses without inserting — on the blocking
+  // path too.
+  EXPECT_EQ(service.cache_stats().misses, 5u);
+  EXPECT_EQ(service.solve(unsorted, 6, 0.0).diagnostics.status,
+            SolveStatus::kFailed);
+  EXPECT_EQ(service.cache_stats().misses, 6u);
   EXPECT_EQ(service.cache_stats().size, 0u);
 }
 
@@ -108,19 +130,21 @@ TEST(SolverServiceTest, PoolChunkedDrainIsBitIdentical) {
   parallel::ThreadPool pool(2);
   SolverService::Options pooled;
   pooled.pool = &pool;
-  pooled.chunk_size = 2;
   SolverService with_pool{pooled};
   SolverService without_pool;
 
+  // More distinct profiles than fit in two chunks, so the pooled drain
+  // runs several chunks (the last one partial) across the workers.
   std::vector<std::vector<int>> profiles;
-  for (int w = 1; w <= 9; ++w) {
+  const int distinct = static_cast<int>(2 * SolverService::kChunkSize + 9);
+  for (int w = 1; w <= distinct; ++w) {
     profiles.push_back({w, 2 * w, 2 * w, 64});
   }
   std::vector<SolverService::Ticket> pooled_tickets;
   std::vector<SolverService::Ticket> serial_tickets;
   for (const auto& w : profiles) {
-    pooled_tickets.push_back(with_pool.submit(w, 6, 0.2));
-    serial_tickets.push_back(without_pool.submit(w, 6, 0.2));
+    pooled_tickets.push_back(submit(with_pool, w, 6, 0.2));
+    serial_tickets.push_back(submit(without_pool, w, 6, 0.2));
   }
   with_pool.drain();
   without_pool.drain();
@@ -130,6 +154,7 @@ TEST(SolverServiceTest, PoolChunkedDrainIsBitIdentical) {
     expect_bits_equal(pooled_tickets[i].result().state.p,
                       serial_tickets[i].result().state.p);
   }
+  EXPECT_EQ(with_pool.cache_stats().misses, profiles.size());
   EXPECT_EQ(with_pool.cache_stats().misses,
             without_pool.cache_stats().misses);
   EXPECT_EQ(with_pool.cache_stats().hits, without_pool.cache_stats().hits);
@@ -137,41 +162,14 @@ TEST(SolverServiceTest, PoolChunkedDrainIsBitIdentical) {
 
 TEST(SolverServiceTest, BlockingSolveSharesTheCache) {
   SolverService service;
-  const TrySolveResult first = service.solve({16, 16, 128}, 6, 0.1);
+  const TrySolveResult first =
+      service.solve(classify_profile({16, 16, 128}), 6, 0.1);
   EXPECT_EQ(service.cache_stats().misses, 1u);
-  SolverService::Ticket ticket = service.submit({128, 16, 16}, 6, 0.1);
+  SolverService::Ticket ticket = submit(service, {128, 16, 16}, 6, 0.1);
   service.drain();  // permutation of the cached key: a hit
   EXPECT_EQ(service.cache_stats().hits, 1u);
-  expect_bits_equal(ticket.result().state.tau,
-                    {first.state.tau[2], first.state.tau[0],
-                     first.state.tau[1]});
-}
-
-TEST(SolverServiceTest, WarmStartNeighborsAnswersWithoutPoisoningCache) {
-  SolverService::Options options;
-  options.warm_start_neighbors = true;
-  SolverService service{options};
-
-  // Prime a neighbor key, then request a nearby profile.
-  service.solve({16, 16, 64}, 6, 0.1);
-  ASSERT_EQ(service.cache_stats().size, 1u);
-  SolverService::Ticket ticket = service.submit({16, 16, 72}, 6, 0.1);
-  service.drain();
-  EXPECT_TRUE(usable(ticket.result().diagnostics.status));
-  // Hinted solves are answered but never inserted: cached values stay
-  // pure functions of the key.
-  EXPECT_EQ(service.cache_stats().size, 1u);
-  EXPECT_EQ(service.cache_stats().misses, 2u);
-
-  // The hinted result must still be the same fixed point the cold solve
-  // finds, to solver tolerance; bit equality is explicitly NOT promised
-  // in this mode.
-  const TrySolveResult cold =
-      try_solve_network({16, 16, 72}, 6, service.cache().options(), 0.1);
-  ASSERT_EQ(ticket.result().state.tau.size(), cold.state.tau.size());
-  for (std::size_t i = 0; i < cold.state.tau.size(); ++i) {
-    EXPECT_NEAR(ticket.result().state.tau[i], cold.state.tau[i], 1e-9);
-  }
+  expect_bits_equal(ticket.result().state.tau, first.state.tau);
+  expect_matches_direct(ticket.result(), {128, 16, 16}, 6, 0.1);
 }
 
 }  // namespace

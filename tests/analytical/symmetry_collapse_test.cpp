@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "analytical/fixed_point_solver.hpp"
-#include "analytical/solver_cache.hpp"
+#include "analytical/solver_service.hpp"
 #include "gtest/gtest.h"
 #include "util/rng.hpp"
 
@@ -98,25 +98,32 @@ TEST(SymmetryCollapse, EqualWindowsShareBitwiseOutcomes) {
 }
 
 TEST(SymmetryCollapse, CacheHitsOnPermutedProfiles) {
-  NetworkSolveCache cache;
+  SolverService service;
+  // SolverService::solve on a per-node profile, expanded back per node.
+  const auto solve = [&service](const std::vector<int>& profile) {
+    const ClassProfile classes = classify_profile(profile);
+    TrySolveResult out = service.solve(classes, 5, 0.0);
+    out.state = expand_classes(out.state, classes);
+    return out;
+  };
   const std::vector<int> w = mixed_profile(12, {32, 256});
-  const TrySolveResult first = cache.solve(w, 5, 0.0);
-  ASSERT_EQ(cache.misses(), 1u);
+  const TrySolveResult first = solve(w);
+  ASSERT_EQ(service.cache_stats().misses, 1u);
   for (const std::uint64_t seed : {3u, 5u, 9u}) {
     const std::vector<int> pw = shuffled(w, seed);
-    const TrySolveResult again = cache.solve(pw, 5, 0.0);
+    const TrySolveResult again = solve(pw);
     for (std::size_t i = 0; i < pw.size(); ++i) {
-      const TrySolveResult direct = cache.solve(pw, 5, 0.0);
+      const TrySolveResult direct = solve(pw);
       EXPECT_EQ(again.state.tau[i], direct.state.tau[i]);
     }
   }
   // Every permutation collapses to the same canonical key: no new misses.
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_GE(cache.hits(), 3u);
+  EXPECT_EQ(service.cache_stats().misses, 1u);
+  EXPECT_EQ(service.cache_stats().size, 1u);
+  EXPECT_GE(service.cache_stats().hits, 3u);
   // And the permuted hit is bitwise the permuted original solution.
   const std::vector<int> pw = shuffled(w, 3u);
-  const TrySolveResult hit = cache.solve(pw, 5, 0.0);
+  const TrySolveResult hit = solve(pw);
   for (std::size_t i = 0; i < pw.size(); ++i) {
     const TrySolveResult direct = try_solve_network(pw, 5, {}, 0.0);
     EXPECT_EQ(hit.state.tau[i], direct.state.tau[i]);

@@ -45,9 +45,9 @@ TEST(AsymmetricGameTest, UniformClassesReproduceSymmetricGame) {
   const StageGame reference(kParams, kBasic);
   const std::vector<int> profile{40, 80, 120, 160, 200};
   const auto u_asym = game.utility_rates(profile);
-  const auto u_ref = reference.utility_rates(profile);
+  const auto u_ref = reference.stage_utilities(profile);
   for (std::size_t i = 0; i < profile.size(); ++i) {
-    EXPECT_NEAR(u_asym[i], u_ref[i], 1e-15);
+    EXPECT_NEAR(u_asym[i], u_ref[i] / reference.stage_duration_us(), 1e-15);
   }
   EXPECT_EQ(game.preferred_common_window(0),
             EquilibriumFinder(reference, 5).efficient_cw());

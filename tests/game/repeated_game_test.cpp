@@ -114,7 +114,7 @@ TEST(RepeatedGameTest, MyopicPopulationRatchetsDown) {
   // the efficient NE — the Cagalj-style degradation the paper discusses.
   const StageGame game(kParams, kBasic);
   auto oracle = [&game](const std::vector<int>& profile, std::size_t self) {
-    return game.utility_rates(profile)[self];
+    return game.stage_utilities(profile)[self];
   };
   std::vector<std::unique_ptr<Strategy>> pop;
   for (int i = 0; i < 3; ++i) {

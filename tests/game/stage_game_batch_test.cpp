@@ -1,8 +1,8 @@
 // Batched stage-payoff evaluation through the solver service.
 //
 // StageGame::try_stage_utilities_batch promises payoffs bitwise equal to
-// per-profile try_stage_utilities calls, and prefetch_profiles promises
-// that later sequential evaluations of the warmed profiles are cache
+// per-profile try_stage_utilities calls, and a batch used only to warm
+// the cache makes later sequential evaluations of its profiles cache
 // hits (src/game/stage_game.hpp).
 #include "game/stage_game.hpp"
 
@@ -70,14 +70,14 @@ TEST(StageGameBatchTest, PrefetchTurnsSequentialSolvesIntoHits) {
   const StageGame game(test_params(), phy::AccessMode::kBasic);
   const std::vector<std::vector<int>> profiles{
       {8, 32, 32}, {32, 32, 8}, {16, 16, 16}};
-  game.prefetch_profiles(profiles);
+  (void)game.try_stage_utilities_batch(profiles);
   const analytical::SolveCacheStats warmed = game.solve_cache_stats();
   EXPECT_EQ(warmed.size, 2u);    // two canonical keys (one permutation pair)
   EXPECT_EQ(warmed.misses, 2u);
   EXPECT_EQ(warmed.hits, 1u);    // the permutation
 
   // Sequential evaluations of warmed profiles are pure hits.
-  for (const auto& w : profiles) game.utility_rates(w);
+  for (const auto& w : profiles) game.stage_utilities(w);
   const analytical::SolveCacheStats after = game.solve_cache_stats();
   EXPECT_EQ(after.misses, warmed.misses);
   EXPECT_EQ(after.hits, warmed.hits + profiles.size());

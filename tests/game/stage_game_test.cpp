@@ -18,13 +18,16 @@ TEST(StageGameTest, RejectsInvalidParameters) {
 
 TEST(StageGameTest, RejectsEmptyProfile) {
   const StageGame game(kParams, kBasic);
-  EXPECT_THROW(game.utility_rates({}), std::invalid_argument);
+  EXPECT_THROW(game.stage_utilities({}), std::invalid_argument);
 }
 
 TEST(StageGameTest, StageUtilityIsRateTimesDuration) {
   const StageGame game(kParams, kBasic);
   const std::vector<int> profile{32, 64, 128};
-  const auto rates = game.utility_rates(profile);
+  const auto rates = analytical::utility_rates(
+      analytical::solve_network(profile, kParams.max_backoff_stage, {},
+                                kParams.packet_error_rate),
+      kParams, kBasic);
   const auto stage = game.stage_utilities(profile);
   ASSERT_EQ(rates.size(), stage.size());
   for (std::size_t i = 0; i < rates.size(); ++i) {
@@ -52,9 +55,11 @@ TEST(StageGameTest, CacheReturnsIdenticalValues) {
 
 TEST(StageGameTest, HomogeneousProfileAgreesWithVectorPath) {
   const StageGame game(kParams, kBasic);
-  const auto rates = game.utility_rates(std::vector<int>(5, 76));
+  const auto stage = game.stage_utilities(std::vector<int>(5, 76));
   const double fast = game.homogeneous_utility_rate(76, 5);
-  for (double r : rates) EXPECT_NEAR(r, fast, 1e-10);
+  for (double u : stage) {
+    EXPECT_NEAR(u / game.stage_duration_us(), fast, 1e-10);
+  }
 }
 
 TEST(StageGameTest, SocialWelfareIsNTimesIndividual) {

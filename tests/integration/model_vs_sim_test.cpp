@@ -59,7 +59,8 @@ TEST(ModelVsSimTest, StageUtilityMatchesAcrossEngines) {
   // profile, heterogeneous case.
   const std::vector<int> profile{30, 60, 120, 240};
   const game::StageGame game(kParams, phy::AccessMode::kBasic);
-  const auto model_u = game.utility_rates(profile);
+  std::vector<double> model_u = game.stage_utilities(profile);
+  for (double& u : model_u) u /= game.stage_duration_us();
 
   sim::SimConfig config;
   config.seed = 77;
