@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
 
 #include "parallel/replication.hpp"
 #include "parallel/thread_pool.hpp"
@@ -47,21 +46,6 @@ inline std::size_t jobs_option(int argc, const char* const* argv) {
   return parallel::ThreadPool::default_jobs();
 }
 
-/// Fans fn(i) for i in [0, count) across `jobs` workers (inline when
-/// jobs <= 1 or there is at most one index). Each index must be a
-/// self-contained experiment with its own fixed seed writing into a
-/// per-index slot; callers reduce the slots in index order afterwards, so
-/// printed tables are byte-identical for any jobs value.
-template <class Fn>
-inline void sweep(std::size_t count, std::size_t jobs, Fn&& fn) {
-  if (jobs <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  parallel::ThreadPool pool(jobs);
-  pool.for_each_index(count, std::forward<Fn>(fn));
-}
-
 inline void print_jobs(std::size_t jobs) {
   std::printf("replication jobs = %zu (override: --jobs N or SMAC_JOBS; "
               "results are seed-determined, independent of jobs)\n\n",
@@ -75,8 +59,8 @@ inline void print_jobs(std::size_t jobs) {
 ///                   free, composes across metrics whose magnitudes differ
 ///                   by orders; with both knobs, either target stops
 ///   --max-reps N    replication budget cap (0 = keep the bench default)
-/// Parsed into a parallel::StoppingRule template whose metric/confidence/
-/// min_reps/batch_size the bench chooses per table. Stop points are
+/// Parsed into a parallel::StoppingRule template whose metric and
+/// batch_size the bench chooses per table. Stop points are
 /// seed-determined and jobs-invariant (src/parallel/replication.hpp).
 inline parallel::StoppingRule stopping_option(int argc,
                                               const char* const* argv) {

@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
       exact_ne(base, 10), 10, base, phy::AccessMode::kBasic);
   const std::vector<double> pers{0.0, 0.05, 0.15, 0.3, 0.5};
   std::vector<std::vector<std::string>> per_rows(pers.size());
-  bench::sweep(pers.size(), jobs, [&](std::size_t k) {
+  parallel::for_each_index(jobs, pers.size(), [&](std::size_t k) {
     phy::Parameters params = base;
     params.packet_error_rate = pers[k];
     const int w_star = exact_ne(params, 10);
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   util::TextTable cap_table({"capture p", "throughput", "aggr. premium x"});
   const std::vector<double> captures{0.0, 0.25, 0.5, 0.9};
   std::vector<std::vector<std::string>> cap_rows(captures.size());
-  bench::sweep(captures.size(), jobs, [&](std::size_t k) {
+  parallel::for_each_index(jobs, captures.size(), [&](std::size_t k) {
     sim::SimConfig config;
     config.seed = 77;
     config.capture_probability = captures[k];
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
       sim::BackoffPolicy::kBinaryExponential, sim::BackoffPolicy::kMild,
       sim::BackoffPolicy::kConstant};
   std::vector<std::vector<std::string>> law_rows(policies.size());
-  bench::sweep(policies.size(), jobs, [&](std::size_t k) {
+  parallel::for_each_index(jobs, policies.size(), [&](std::size_t k) {
     const sim::BackoffPolicy policy = policies[k];
     auto jain_at = [&](std::uint64_t slots) {
       util::RunningStats acc;

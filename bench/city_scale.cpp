@@ -233,12 +233,12 @@ int main(int argc, char** argv) {
 
   const auto configs = scenarios(smoke, jobs, sim_slots, sim_kernel);
   std::vector<multihop::CityScaleResult> runs(configs.size());
-  bench::sweep(configs.size(), /*jobs=*/1, [&](std::size_t s) {
+  for (std::size_t s = 0; s < configs.size(); ++s) {
     // Scenarios run sequentially (each already fans its solver misses
     // across `jobs`); memory, not CPU, is the reason — two 10^5-node
     // runs side by side double the index + trajectory footprint.
     runs[s] = multihop::run_city_scale(configs[s]);
-  });
+  }
 
   util::TextTable table({"n", "stage", "online", "edges", "W_m",
                          "classes(seed)", "classes(conv)", "quasi>=96%",

@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
     bool on = false;
   };
   std::vector<Flip> flips(residents.size() * deviants.size());
-  bench::sweep(flips.size(), jobs, [&](std::size_t k) {
+  parallel::for_each_index(jobs, flips.size(), [&](std::size_t k) {
     const auto& res = residents[k / deviants.size()];
     const auto& dev = deviants[k % deviants.size()];
     flips[k].off = unenforced.resists_invasion(res, dev);
@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
 
   std::vector<GridCell> cells(2 * noise_levels.size() *
                               filter_variants.size());
-  bench::sweep(cells.size(), jobs, [&](std::size_t k) {
+  parallel::for_each_index(jobs, cells.size(), [&](std::size_t k) {
     const int deviant = static_cast<int>(k / (noise_levels.size() *
                                               filter_variants.size()));
     const std::size_t rest =
@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
   const int reps = 20;
   std::vector<int> flag_slots(noise_levels.size() *
                               static_cast<std::size_t>(reps));
-  bench::sweep(flag_slots.size(), jobs, [&](std::size_t k) {
+  parallel::for_each_index(jobs, flag_slots.size(), [&](std::size_t k) {
     const double noise = noise_levels[k / static_cast<std::size_t>(reps)];
     const game::ReactionConfig rc = reaction_config(w_star, false);
     std::vector<std::unique_ptr<game::Strategy>> pop;

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   const std::vector<std::uint64_t> slot_lengths{2000, 10000, 50000, 250000,
                                                 1000000};
   std::vector<std::vector<std::string>> acc_rows(slot_lengths.size());
-  bench::sweep(slot_lengths.size(), jobs, [&](std::size_t k) {
+  parallel::for_each_index(jobs, slot_lengths.size(), [&](std::size_t k) {
     const std::uint64_t slots = slot_lengths[k];
     util::RunningStats err;
     util::RunningStats attempts;
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
                         "drift from 64 %"});
   const std::vector<double> stage_lengths{0.3, 1.0, 4.0};
   std::vector<std::vector<std::string>> stab_rows(2 * stage_lengths.size());
-  bench::sweep(stab_rows.size(), jobs, [&](std::size_t k) {
+  parallel::for_each_index(jobs, stab_rows.size(), [&](std::size_t k) {
     const double stage_s = stage_lengths[k / 2];
     const bool gtft = (k % 2) == 1;
     sim::EstimatingRuntime runtime(

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   const std::vector<double> churn_rates{0.0, 0.02, 0.05};
   const std::vector<double> burst_pers{0.0, 0.25, 0.5};
   std::vector<Cell> cells(churn_rates.size() * burst_pers.size());
-  bench::sweep(cells.size(), jobs, [&](std::size_t k) {
+  parallel::for_each_index(jobs, cells.size(), [&](std::size_t k) {
     const double churn = churn_rates[k / burst_pers.size()];
     const double per_bad = burst_pers[k % burst_pers.size()];
     cells[k] = run_cell(game, w_coop, churn, per_bad, 0.0,
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
       }
     }
     std::vector<game::ForgivenessCell> grid(specs.size());
-    bench::sweep(specs.size(), jobs, [&](std::size_t k) {
+    parallel::for_each_index(jobs, specs.size(), [&](std::size_t k) {
       grid[k] = game::run_forgiveness_cell(game, specs[k]);
     });
     util::TextTable table({"noise", "filter", "strategy", "final W",
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
     util::TextTable slot_table(
         {"PER_bad", "bad-state slots", "throughput", "error slots"});
     std::vector<sim::SimResult> runs(burst_pers.size());
-    bench::sweep(runs.size(), jobs, [&](std::size_t k) {
+    parallel::for_each_index(jobs, runs.size(), [&](std::size_t k) {
       sim::SimConfig config;
       config.mode = phy::AccessMode::kRtsCts;
       config.seed = parallel::stream_seed(kBaseSeed ^ 0x51a7, k);

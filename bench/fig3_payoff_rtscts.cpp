@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     double keep_basic = 0.0;
   };
   std::vector<Series> series(ns.size());
-  bench::sweep(ns.size(), jobs, [&](std::size_t idx) {
+  parallel::for_each_index(jobs, ns.size(), [&](std::size_t idx) {
     const int n = ns[idx];
     Series& s = series[idx];
     const game::EquilibriumFinder finder(game, n);

@@ -22,7 +22,6 @@
 #include "util/table.hpp"
 
 using namespace smac;
-using smac::bench::sweep;
 
 int main(int argc, char** argv) {
   bench::print_header(
@@ -38,7 +37,7 @@ int main(int argc, char** argv) {
   // 1. Static: stages-to-stable tracks the hop distance from the minimum.
   const std::vector<int> chain_lengths{4, 8, 12, 16};
   std::vector<std::vector<std::string>> static_rows(chain_lengths.size());
-  sweep(chain_lengths.size(), jobs, [&](std::size_t idx) {
+  parallel::for_each_index(jobs, chain_lengths.size(), [&](std::size_t idx) {
     const int n = chain_lengths[idx];
     std::vector<multihop::Vec2> pos;
     for (int i = 0; i < n; ++i) pos.push_back({i * 200.0, 0.0});
@@ -65,7 +64,7 @@ int main(int argc, char** argv) {
   //    does the global minimum reach everyone as speed grows?
   const std::vector<double> speeds{0.0, 2.0, 8.0, 20.0};
   std::vector<std::vector<std::string>> mobile_rows(speeds.size());
-  sweep(speeds.size(), jobs, [&](std::size_t idx) {
+  parallel::for_each_index(jobs, speeds.size(), [&](std::size_t idx) {
     const double v_max = speeds[idx];
     multihop::MobilityConfig mob;
     mob.width_m = 1200.0;

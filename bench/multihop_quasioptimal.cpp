@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   // Each grid point is a self-contained mobile run with a fixed seed;
   // fan across --jobs and build the table in grid order afterwards.
   std::vector<MobileRun> runs(grid.size());
-  bench::sweep(grid.size(), jobs, [&](std::size_t gi) {
+  parallel::for_each_index(jobs, grid.size(), [&](std::size_t gi) {
     runs[gi] = run_mobile(grid[gi], 1234);
   });
   util::TextTable table({"W", "global payoff (1/us)", "p_hn"});

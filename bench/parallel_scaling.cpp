@@ -2,11 +2,12 @@
 //
 // Runs the same Monte-Carlo batch (12 replications of a 10-node saturated
 // DCF simulation) at jobs = 1 / 2 / 4 (and the --jobs/SMAC_JOBS value if
-// larger), times each sweep, and cross-checks that every aggregated
-// metric is bit-identical to the serial run — the determinism contract of
-// src/parallel/replication.hpp, measured rather than asserted. Build with
-// -DCMAKE_BUILD_TYPE=Release before reading the speedup column; recorded
-// results live in bench/PARALLEL_SPEEDUP.md.
+// larger), kRepeats times each in alternating order, reports the median
+// wall time per jobs value, and cross-checks that every aggregated metric
+// of every run is bit-identical to the first serial run — the determinism
+// contract of src/parallel/replication.hpp, measured rather than asserted.
+// Build with -DCMAKE_BUILD_TYPE=Release before reading the speedup column;
+// recorded results live in bench/PARALLEL_SPEEDUP.md.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -20,28 +21,23 @@ namespace {
 
 using namespace smac;
 
-double run_batch_ms(std::size_t jobs, sim::SimBatch& batch_out) {
+/// Timed runs per jobs value (odd: the median is a measured run). The
+/// jobs order alternates per repeat so host drift hits every value alike.
+constexpr int kRepeats = 7;
+
+double run_batch_ms(std::size_t jobs, parallel::ReplicationSummary& out) {
   sim::SimConfig config;
   config.seed = 42;
   const std::vector<int> profile(10, 128);
   const auto t0 = std::chrono::steady_clock::now();
-  batch_out = sim::run_replicated(config, profile, 30000, 12, jobs);
+  out = sim::run_replicated(config, profile, 30000, 12, jobs);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-bool identical_metrics(const sim::SimBatch& a, const sim::SimBatch& b) {
-  if (a.metrics.size() != b.metrics.size()) return false;
-  for (std::size_t m = 0; m < a.metrics.size(); ++m) {
-    if (a.metrics[m].mean != b.metrics[m].mean ||
-        a.metrics[m].stddev != b.metrics[m].stddev ||
-        a.metrics[m].ci95 != b.metrics[m].ci95 ||
-        a.metrics[m].min != b.metrics[m].min ||
-        a.metrics[m].max != b.metrics[m].max) {
-      return false;
-    }
-  }
-  return true;
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 }  // namespace
@@ -53,27 +49,38 @@ int main(int argc, char** argv) {
       "and speedup",
       "12 replications x 30k slots, 10 saturated nodes, W = 128, basic.");
   const std::size_t jobs_arg = bench::jobs_option(argc, argv);
-  std::printf("hardware threads available: %zu\n\n",
+  std::printf("hardware threads available: %zu\n",
               parallel::ThreadPool::default_jobs());
+  std::printf("timing: median of %d alternating repeats per jobs value\n\n",
+              kRepeats);
 
   std::vector<std::size_t> sweep{1, 2, 4};
   if (std::find(sweep.begin(), sweep.end(), jobs_arg) == sweep.end()) {
     sweep.push_back(jobs_arg);
   }
 
-  sim::SimBatch serial;
-  const double serial_ms = run_batch_ms(1, serial);
+  parallel::ReplicationSummary serial;
+  run_batch_ms(1, serial);  // reference aggregates; also warms the caches
+  std::vector<std::vector<double>> wall_ms(sweep.size());
+  std::vector<bool> identical(sweep.size(), true);
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (std::size_t k = 0; k < sweep.size(); ++k) {
+      const std::size_t j = rep % 2 == 0 ? k : sweep.size() - 1 - k;
+      parallel::ReplicationSummary batch;
+      wall_ms[j].push_back(run_batch_ms(sweep[j], batch));
+      if (batch.metrics != serial.metrics) identical[j] = false;
+    }
+  }
 
   util::TextTable table(
-      {"jobs", "wall (ms)", "speedup vs jobs=1", "aggregates bit-identical"});
-  table.add_row({"1", util::fmt_double(serial_ms, 1), "1.00", "-"});
-  for (std::size_t jobs : sweep) {
-    if (jobs == 1) continue;
-    sim::SimBatch batch;
-    const double ms = run_batch_ms(jobs, batch);
-    table.add_row({std::to_string(jobs), util::fmt_double(ms, 1),
+      {"jobs", "median wall (ms)", "speedup vs jobs=1",
+       "aggregates bit-identical"});
+  const double serial_ms = median(wall_ms[0]);
+  for (std::size_t j = 0; j < sweep.size(); ++j) {
+    const double ms = median(wall_ms[j]);
+    table.add_row({std::to_string(sweep[j]), util::fmt_double(ms, 1),
                    util::fmt_double(serial_ms / ms, 2),
-                   identical_metrics(serial, batch) ? "yes" : "NO (BUG)"});
+                   identical[j] ? "yes" : "NO (BUG)"});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("%s\n",

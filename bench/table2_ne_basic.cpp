@@ -43,7 +43,7 @@ SimNe simulated_ne(phy::AccessMode mode, int n, int w_star,
   }
 
   std::vector<std::vector<double>> payoff(grid.size());
-  bench::sweep(grid.size(), jobs, [&](std::size_t gi) {
+  parallel::for_each_index(jobs, grid.size(), [&](std::size_t gi) {
     const int w = grid[gi];
     sim::SimConfig config;
     config.mode = mode;

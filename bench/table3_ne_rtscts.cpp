@@ -39,7 +39,7 @@ SimNe simulated_ne(int n, int w_center, std::uint64_t slots_per_point,
     grid.push_back(w);
   }
   std::vector<std::vector<double>> payoff(grid.size());
-  bench::sweep(grid.size(), jobs, [&](std::size_t gi) {
+  parallel::for_each_index(jobs, grid.size(), [&](std::size_t gi) {
     const int w = grid[gi];
     sim::SimConfig config;
     config.mode = phy::AccessMode::kRtsCts;

@@ -264,17 +264,4 @@ std::vector<std::unique_ptr<Strategy>> make_contrite_population(
   return pop;
 }
 
-std::vector<std::unique_ptr<Strategy>> make_forgiving_gtft_population(
-    std::size_t n, int initial_w, double beta, int r0, int trigger_stages,
-    int clean_stages) {
-  std::vector<std::unique_ptr<Strategy>> pop;
-  pop.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pop.push_back(std::make_unique<ForgivingGtft>(initial_w, beta, r0,
-                                                  trigger_stages,
-                                                  clean_stages));
-  }
-  return pop;
-}
-
 }  // namespace smac::game

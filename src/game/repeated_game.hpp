@@ -122,9 +122,4 @@ std::vector<std::unique_ptr<Strategy>> make_gtft_population(std::size_t n,
 std::vector<std::unique_ptr<Strategy>> make_contrite_population(
     std::size_t n, int w_coop, int clean_stages);
 
-/// n Forgiving-GTFT players with the given trigger/relaxation parameters.
-std::vector<std::unique_ptr<Strategy>> make_forgiving_gtft_population(
-    std::size_t n, int initial_w, double beta, int r0, int trigger_stages,
-    int clean_stages);
-
 }  // namespace smac::game

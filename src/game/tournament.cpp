@@ -14,20 +14,6 @@ namespace smac::game {
 
 namespace {
 
-/// Runs fn(k) for k in [0, count): inline when jobs == 1, otherwise on a
-/// pool of `jobs` workers. Results must go into per-index slots; callers
-/// reduce those in fixed order afterwards, which keeps scores
-/// bit-identical across jobs values.
-template <class Fn>
-void fan_out(std::size_t count, std::size_t jobs, Fn&& fn) {
-  if (jobs == 1 || count <= 1) {
-    for (std::size_t k = 0; k < count; ++k) fn(k);
-    return;
-  }
-  parallel::ThreadPool pool(jobs);
-  pool.for_each_index(count, std::forward<Fn>(fn));
-}
-
 /// Opening contention windows of a roster, or empty when any factory is
 /// null (the subsequent play_mix raises the error in that case).
 std::vector<int> opening_windows(const std::vector<Contender>& roster) {
@@ -50,7 +36,6 @@ Tournament::Tournament(const StageGame& game, int n_players, int stages,
     : game_(game), n_(n_players), stages_(stages), jobs_(jobs) {
   if (n_players < 2) throw std::invalid_argument("Tournament: n < 2");
   if (stages < 1) throw std::invalid_argument("Tournament: stages < 1");
-  if (jobs_ == 0) jobs_ = parallel::ThreadPool::default_jobs();
 }
 
 void Tournament::set_fault_plan(fault::FaultPlan plan, std::uint64_t seed) {
@@ -115,7 +100,7 @@ MixOutcome Tournament::play_mix_impl(const Contender& a, const Contender& b,
   return outcome;
 }
 
-MixReplicationOutcome Tournament::play_mix_replicated(
+parallel::ReplicationSummary Tournament::play_mix_replicated(
     const Contender& a, const Contender& b, int count_a,
     const parallel::StoppingRule& rule) const {
   if (rule.max_reps == 0) {
@@ -128,15 +113,11 @@ MixReplicationOutcome Tournament::play_mix_replicated(
   const std::uint64_t mix_seed = parallel::stream_seed(
       fault_seed_, static_cast<std::uint64_t>(std::max(count_a, 0)));
   const parallel::ReplicationRunner runner({rule.max_reps, mix_seed, jobs_});
-  auto summary = runner.run_sequential(
+  return runner.run_sequential(
       names, rule, [&](std::uint64_t seed, std::size_t /*index*/) {
         const MixOutcome o = play_mix_impl(a, b, count_a, seed);
         return std::vector<double>{o.payoff_a, o.payoff_b};
       });
-  MixReplicationOutcome outcome;
-  outcome.metrics = std::move(summary.metrics);
-  outcome.stopping = std::move(summary.stopping);
-  return outcome;
 }
 
 bool Tournament::resists_invasion(const Contender& resident,
@@ -180,7 +161,7 @@ std::vector<std::vector<bool>> Tournament::invasion_matrix(
   // std::vector<bool> is bit-packed, so concurrent writes to matrix[i][j]
   // would race; stage into a byte vector instead.
   std::vector<char> verdicts(pairs.size(), 0);
-  fan_out(pairs.size(), jobs_, [&](std::size_t k) {
+  parallel::for_each_index(jobs_, pairs.size(), [&](std::size_t k) {
     const auto [i, j] = pairs[k];
     verdicts[k] = resists_invasion(roster[i], roster[j], tolerance) ? 1 : 0;
   });
@@ -222,7 +203,7 @@ std::vector<double> Tournament::round_robin_scores(
     (void)game_.try_stage_utilities_batch({distinct.begin(), distinct.end()});
   }
   std::vector<double> payoff_a(mixes.size(), 0.0);
-  fan_out(mixes.size(), jobs_, [&](std::size_t k) {
+  parallel::for_each_index(jobs_, mixes.size(), [&](std::size_t k) {
     payoff_a[k] =
         play_mix(roster[mixes[k].i], roster[mixes[k].j], mixes[k].count_a)
             .payoff_a;

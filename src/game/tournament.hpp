@@ -27,7 +27,6 @@
 #include "game/repeated_game.hpp"
 #include "game/stage_game.hpp"
 #include "parallel/replication.hpp"
-#include "util/stats.hpp"
 
 namespace smac::game {
 
@@ -35,15 +34,6 @@ namespace smac::game {
 struct Contender {
   std::string name;
   std::function<std::unique_ptr<Strategy>()> make;
-};
-
-/// Streaming aggregate of replicated faulted plays of one mix: group
-/// payoffs summarized across fault-trajectory replications.
-struct MixReplicationOutcome {
-  /// Across-replication aggregates, columns "payoff A" and "payoff B".
-  std::vector<util::MetricSummary> metrics;
-  /// Replications executed, achieved CI half-width, and stop reason.
-  parallel::StoppingReport stopping;
 };
 
 /// Average discounted payoff per member of each group in one mix.
@@ -100,8 +90,9 @@ class Tournament {
   /// so the family is disjoint from the single-shot play_mix seed and
   /// bit-identical for any jobs value. Without a fault plan every
   /// replication is the same deterministic game — the CI collapses to 0
-  /// and the run stops at min_reps.
-  MixReplicationOutcome play_mix_replicated(
+  /// and the run stops at the first batch boundary holding two samples.
+  /// Metric columns are "payoff A" and "payoff B".
+  parallel::ReplicationSummary play_mix_replicated(
       const Contender& a, const Contender& b, int count_a,
       const parallel::StoppingRule& rule) const;
 

@@ -272,27 +272,24 @@ MultihopResult run_multihop_pdes(const MultihopConfig& config,
   return result;
 }
 
-MultihopBatch run_replicated(const MultihopConfig& config,
-                             const Topology& topology,
-                             const std::vector<int>& cw_profile,
-                             std::uint64_t slots, std::size_t replications,
-                             std::size_t jobs) {
+parallel::ReplicationSummary run_replicated(
+    const MultihopConfig& config, const Topology& topology,
+    const std::vector<int>& cw_profile, std::uint64_t slots,
+    std::size_t replications, std::size_t jobs) {
   parallel::StoppingRule fixed;  // target 0: stream all N, never stop early
   fixed.max_reps = replications;
   return run_replicated(config, topology, cw_profile, slots, fixed, jobs);
 }
 
-MultihopBatch run_replicated(const MultihopConfig& config,
-                             const Topology& topology,
-                             const std::vector<int>& cw_profile,
-                             std::uint64_t slots,
-                             const parallel::StoppingRule& rule,
-                             std::size_t jobs) {
+parallel::ReplicationSummary run_replicated(
+    const MultihopConfig& config, const Topology& topology,
+    const std::vector<int>& cw_profile, std::uint64_t slots,
+    const parallel::StoppingRule& rule, std::size_t jobs) {
   if (rule.max_reps == 0) {
     throw std::invalid_argument("run_replicated: rule.max_reps == 0");
   }
   const parallel::ReplicationRunner runner({rule.max_reps, config.seed, jobs});
-  auto summary = runner.run_sequential(
+  return runner.run_sequential(
       replicated_metric_names(), rule,
       [&](std::uint64_t seed, std::size_t /*index*/) {
         MultihopConfig replica = config;
@@ -300,10 +297,6 @@ MultihopBatch run_replicated(const MultihopConfig& config,
         MultihopSimulator simulator(replica, topology, cw_profile);
         return replicated_metric_row(simulator.run_slots(slots));
       });
-  MultihopBatch batch;
-  batch.metrics = std::move(summary.metrics);
-  batch.stopping = std::move(summary.stopping);
-  return batch;
 }
 
 }  // namespace smac::multihop

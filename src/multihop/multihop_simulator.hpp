@@ -176,44 +176,31 @@ MultihopResult run_multihop_pdes(const MultihopConfig& config,
                                  std::uint64_t slots,
                                  PdesRunStats* stats = nullptr);
 
-/// Streaming aggregate of a replicated Monte-Carlo batch of one multihop
-/// configuration. Individual MultihopResult windows are reduced on the
-/// fly (replication r ran with seed parallel::stream_seed(config.seed,
-/// r)); only the across-replication aggregates and the stopping report
-/// are retained, so memory is O(batch size) regardless of replication
-/// count. To inspect a single replication, rebuild it with
-/// config.seed = parallel::stream_seed(config.seed, r).
-struct MultihopBatch {
-  /// Across-replication aggregates: global payoff rate, aggregate p_hn,
-  /// success/hidden-loss fractions, mean tau.
-  std::vector<util::MetricSummary> metrics;
-  /// Replications executed, achieved CI half-width, and stop reason.
-  parallel::StoppingReport stopping;
-};
-
-/// Metric names of MultihopBatch::metrics, in column order.
+/// Metric names of a replicated batch's metrics, in column order:
+/// global payoff rate, aggregate p_hn, success/hidden-loss fractions,
+/// mean tau.
 const std::vector<std::string>& replicated_metric_names();
 
 /// Runs `replications` independent copies of (config, topology,
 /// cw_profile) for `slots` slots each, fanned over `jobs` threads (1 =
 /// serial inline, 0 = ThreadPool::default_jobs()). config.seed is the
 /// base seed of the replication family; results are bit-identical for
-/// any `jobs` (see src/parallel/replication.hpp).
-MultihopBatch run_replicated(const MultihopConfig& config,
-                             const Topology& topology,
-                             const std::vector<int>& cw_profile,
-                             std::uint64_t slots, std::size_t replications,
-                             std::size_t jobs = 1);
+/// any `jobs` (see src/parallel/replication.hpp). Individual
+/// MultihopResult windows are reduced on the fly and not retained; to
+/// inspect replication r, rebuild it with
+/// config.seed = parallel::stream_seed(config.seed, r).
+parallel::ReplicationSummary run_replicated(
+    const MultihopConfig& config, const Topology& topology,
+    const std::vector<int>& cw_profile, std::uint64_t slots,
+    std::size_t replications, std::size_t jobs = 1);
 
 /// Sequential-stopping variant: replicates in deterministic batches until
 /// `rule`'s CI half-width target is met or rule.max_reps (must be > 0) is
 /// exhausted. The first k replications are bit-identical to the fixed-N
 /// overload's; the stop point is jobs-invariant.
-MultihopBatch run_replicated(const MultihopConfig& config,
-                             const Topology& topology,
-                             const std::vector<int>& cw_profile,
-                             std::uint64_t slots,
-                             const parallel::StoppingRule& rule,
-                             std::size_t jobs = 1);
+parallel::ReplicationSummary run_replicated(
+    const MultihopConfig& config, const Topology& topology,
+    const std::vector<int>& cw_profile, std::uint64_t slots,
+    const parallel::StoppingRule& rule, std::size_t jobs = 1);
 
 }  // namespace smac::multihop

@@ -48,7 +48,6 @@
 #include "multihop/multihop_simulator.hpp"
 #include "multihop/slot_kernel.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/worker_team.hpp"
 
 namespace smac::multihop {
 
@@ -388,11 +387,15 @@ MultihopResult MultihopSimulator::run_slots_pdes(std::uint64_t slots) {
   std::size_t jobs = config_.pdes.jobs == 0
                          ? parallel::ThreadPool::default_jobs()
                          : config_.pdes.jobs;
-  jobs = std::min(jobs, std::max<std::size_t>(part.region_count(), 1));
+  jobs = std::min({jobs, std::max<std::size_t>(part.region_count(), 1),
+                   parallel::ThreadPool::kMaxThreads});
 
   PdesEngine engine(*this, part, slots);
   if (part.region_count() > 0) {
-    parallel::run_worker_team(jobs, [&engine, jobs](std::size_t w) {
+    // count == jobs: every worker gets its own thread and all run at once
+    // (for_each_index's all-in-flight guarantee), as the spinning
+    // hand-offs require.
+    parallel::for_each_index(jobs, jobs, [&engine, jobs](std::size_t w) {
       try {
         engine.worker(w, jobs);
       } catch (...) {

@@ -47,7 +47,7 @@ const char* to_string(MultihopKernel kernel) noexcept;
 struct PdesOptions {
   /// Worker threads driving the logical processes (1 = serial in the
   /// calling thread, 0 = parallel::ThreadPool::default_jobs()); clamped
-  /// to the region count.
+  /// to the region count and to parallel::ThreadPool::kMaxThreads.
   std::size_t jobs = 1;
   /// Region tile edge in units of range_m. 3.0 matches the interference
   /// lookahead — smaller tiles give more parallelism but denser region

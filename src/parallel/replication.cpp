@@ -21,16 +21,6 @@ util::Rng stream_rng(std::uint64_t base_seed, std::uint64_t index) noexcept {
   return util::Rng(stream_seed(base_seed, index));
 }
 
-std::string error_message(const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    return e.what();
-  } catch (...) {
-    return "non-standard exception";
-  }
-}
-
 const char* to_string(StopReason reason) noexcept {
   switch (reason) {
     case StopReason::kCiTarget:
@@ -61,14 +51,15 @@ std::string StoppingReport::summary() const {
     std::snprintf(buffer, sizeof(buffer),
                   "sequential stopping: %zu replications (%zu samples), "
                   "metric \"%s\" %.0f%% CI +/- %.6g (%s, stop: %s)",
-                  replications, samples, metric.c_str(), confidence * 100.0,
-                  achieved_half_width, target, to_string(reason));
+                  replications, samples, metric.c_str(),
+                  kStoppingConfidence * 100.0, achieved_half_width, target,
+                  to_string(reason));
   } else {
     std::snprintf(buffer, sizeof(buffer),
                   "fixed-N streaming: %zu replications (%zu samples), "
                   "metric \"%s\" %.0f%% CI +/- %.6g",
-                  replications, samples, metric.c_str(), confidence * 100.0,
-                  achieved_half_width);
+                  replications, samples, metric.c_str(),
+                  kStoppingConfidence * 100.0, achieved_half_width);
   }
   return buffer;
 }
@@ -98,9 +89,6 @@ ResolvedStoppingRule resolve_stopping_rule(
     }
     r.watched = found;
   }
-  if (!(rule.confidence > 0.0) || !(rule.confidence < 1.0)) {
-    throw std::invalid_argument("StoppingRule: confidence outside (0,1)");
-  }
   if (!std::isfinite(rule.ci_half_width_target)) {
     throw std::invalid_argument("StoppingRule: non-finite CI target");
   }
@@ -111,26 +99,20 @@ ResolvedStoppingRule resolve_stopping_rule(
   if (r.max_reps == 0) {
     throw std::invalid_argument("StoppingRule: zero max_reps");
   }
-  r.min_reps = rule.min_reps < 2 ? 2 : rule.min_reps;
-  if (r.min_reps > r.max_reps) r.min_reps = r.max_reps;
   r.batch = rule.batch_size != 0 ? rule.batch_size : kDefaultStoppingBatch;
   if (r.batch > r.max_reps) r.batch = r.max_reps;
   r.target = rule.ci_half_width_target;
   r.rel = rule.ci_rel_target;
-  r.confidence = rule.confidence;
-  r.z = util::normal_quantile(0.5 + 0.5 * rule.confidence);
+  r.z = util::normal_quantile(0.5 + 0.5 * kStoppingConfidence);
   return r;
 }
 
 }  // namespace detail
 
-ReplicationRunner::ReplicationRunner(ReplicationPlan plan)
-    : plan_(plan),
-      jobs_(plan.jobs == 0 ? ThreadPool::default_jobs() : plan.jobs) {
+ReplicationRunner::ReplicationRunner(ReplicationPlan plan) : plan_(plan) {
   if (plan_.replications == 0) {
     throw std::invalid_argument("ReplicationRunner: zero replications");
   }
-  if (jobs_ > ThreadPool::kMaxThreads) jobs_ = ThreadPool::kMaxThreads;
 }
 
 }  // namespace smac::parallel

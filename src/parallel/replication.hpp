@@ -40,9 +40,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <exception>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -65,15 +63,6 @@ std::uint64_t stream_seed(std::uint64_t base_seed,
 /// Convenience: an Rng already seeded for replication `index`.
 util::Rng stream_rng(std::uint64_t base_seed, std::uint64_t index) noexcept;
 
-/// What a batch does when one replication throws.
-enum class FailurePolicy {
-  /// Rethrow the first (lowest-index) failure after the batch drains.
-  kFailFast,
-  /// Record the failure, keep the default-constructed result slot, and
-  /// keep going; errors come back alongside the results.
-  kCollect,
-};
-
 /// How to fan a batch of replications across cores.
 struct ReplicationPlan {
   std::size_t replications = 1;
@@ -81,43 +70,15 @@ struct ReplicationPlan {
   /// Worker threads; 1 runs inline on the caller, 0 means
   /// ThreadPool::default_jobs() (SMAC_JOBS env or hardware concurrency).
   std::size_t jobs = 1;
-  FailurePolicy failure_policy = FailurePolicy::kFailFast;
-};
-
-/// One replication that threw instead of returning.
-struct ReplicationError {
-  std::size_t index = 0;
-  std::string message;
-};
-
-/// what() of a captured exception, or "non-standard exception".
-std::string error_message(const std::exception_ptr& error);
-
-/// Results of a batch run under FailurePolicy::kCollect: result slots in
-/// index order (failed slots default-constructed) plus the error records.
-template <class R>
-struct ReplicationBatch {
-  std::vector<R> results;
-  std::vector<ReplicationError> errors;  ///< sorted by index
-
-  /// True when every replication returned normally.
-  bool ok() const noexcept { return errors.empty(); }
-  /// Whether replication `i` produced a valid result.
-  bool succeeded(std::size_t i) const noexcept {
-    for (const ReplicationError& e : errors) {
-      if (e.index == i) return false;
-    }
-    return true;
-  }
 };
 
 /// Sequential-stopping policy: replicate in deterministic batches until
-/// the watched metric's confidence-interval half-width falls below target
-/// or max_reps is exhausted. Stream seeds are unchanged — the first k
-/// replications of a stopped run are bit-identical to a fixed-N run of the
-/// same base seed — and the stop decision is a pure function of the
-/// index-ordered aggregate, so the stop point is identical at any jobs
-/// count.
+/// the watched metric's kStoppingConfidence interval half-width falls
+/// below target or max_reps is exhausted (never before two samples).
+/// Stream seeds are unchanged — the first k replications of a stopped run
+/// are bit-identical to a fixed-N run of the same base seed — and the stop
+/// decision is a pure function of the index-ordered aggregate, so the stop
+/// point is identical at any jobs count.
 struct StoppingRule {
   /// Watched metric name; empty selects the first metric.
   std::string metric;
@@ -132,10 +93,6 @@ struct StoppingRule {
   /// are armed, meeting *either* stops the run. A running mean of exactly
   /// zero can only satisfy the relative criterion with a zero half-width.
   double ci_rel_target = 0.0;
-  /// Two-sided confidence level of the watched interval, in (0, 1).
-  double confidence = 0.95;
-  /// Never stop before this many replications have been executed.
-  std::size_t min_reps = 2;
   /// Hard replication ceiling; 0 falls back to plan.replications.
   std::size_t max_reps = 0;
   /// Replications per batch (the stop criterion is evaluated at batch
@@ -146,6 +103,9 @@ struct StoppingRule {
 
 /// Batch size used when StoppingRule::batch_size is 0.
 inline constexpr std::size_t kDefaultStoppingBatch = 32;
+
+/// Two-sided confidence level of every watched interval.
+inline constexpr double kStoppingConfidence = 0.95;
 
 /// Why a sequential run stopped.
 enum class StopReason {
@@ -158,14 +118,13 @@ const char* to_string(StopReason reason) noexcept;
 /// What a sequential (or streamed fixed-N) run actually did.
 struct StoppingReport {
   std::size_t replications = 0;  ///< replication indices executed
-  std::size_t samples = 0;       ///< successful rows aggregated
+  std::size_t samples = 0;       ///< rows aggregated
   std::size_t metric_index = 0;  ///< index of the watched metric
   std::string metric;            ///< name of the watched metric
   double achieved_half_width = 0.0;  ///< watched CI half-width at stop
   double target_half_width = 0.0;    ///< absolute target (0 = unarmed)
   double target_rel_half_width = 0.0;  ///< relative target (0 = unarmed)
   double watched_mean = 0.0;  ///< running mean of the watched metric
-  double confidence = 0.95;
   StopReason reason = StopReason::kMaxReps;
 
   /// Achieved half-width relative to |mean| (infinity at mean 0).
@@ -190,16 +149,16 @@ struct StoppingReport {
 };
 
 /// Summary of one replicated experiment whose replications each produce a
-/// row of named metrics. Rows are *not* retained: they are reduced into
-/// per-metric running statistics as batches complete, so a 10^4-
-/// replication study holds at most one batch of rows in memory.
+/// row of named metrics — the one result type of every replicated entry
+/// point (sim::run_replicated, multihop::run_replicated,
+/// game::Tournament::play_mix_replicated). Rows are *not* retained: they
+/// are reduced into per-metric running statistics as batches complete, so
+/// a 10^4-replication study holds at most one batch of rows in memory.
 struct ReplicationSummary {
   std::vector<std::string> metric_names;
   /// Across-replication mean / stddev / 95% CI / extrema per metric,
-  /// aggregated in index order over the *successful* rows only.
+  /// aggregated in index order.
   std::vector<util::MetricSummary> metrics;
-  /// Failed replications (empty unless the plan collects failures).
-  std::vector<ReplicationError> errors;
   /// Replications executed, achieved precision, and the stop reason.
   StoppingReport stopping;
   /// Largest number of result rows held in memory at any instant —
@@ -210,17 +169,14 @@ struct ReplicationSummary {
 namespace detail {
 
 /// StoppingRule with defaults resolved and inputs validated (throws
-/// std::invalid_argument on unknown metric, bad confidence, or bad
-/// targets).
+/// std::invalid_argument on unknown metric or bad targets).
 struct ResolvedStoppingRule {
   std::size_t watched = 0;
-  std::size_t min_reps = 2;
   std::size_t max_reps = 1;
   std::size_t batch = kDefaultStoppingBatch;
   double target = 0.0;
   double rel = 0.0;
-  double confidence = 0.95;
-  double z = 0.0;  ///< normal quantile of (1 + confidence) / 2
+  double z = 0.0;  ///< normal quantile of (1 + kStoppingConfidence) / 2
 };
 
 ResolvedStoppingRule resolve_stopping_rule(
@@ -236,103 +192,40 @@ class ReplicationRunner {
   explicit ReplicationRunner(ReplicationPlan plan);
 
   const ReplicationPlan& plan() const noexcept { return plan_; }
-  /// Resolved worker count (plan.jobs with 0 already expanded).
-  std::size_t jobs() const noexcept { return jobs_; }
 
-  /// Runs fn(seed, index) for index in [0, replications) and returns the
-  /// results in index order regardless of scheduling. The result type
-  /// must be default-constructible. fn is invoked concurrently for
-  /// distinct indices when jobs() > 1; with jobs() == 1 everything runs
-  /// inline on the calling thread (no pool is created).
-  ///
-  /// Failure behavior follows plan().failure_policy: kFailFast propagates
-  /// the first exception (remaining indices may never run); kCollect
-  /// swallows per-replication failures, leaving those slots
-  /// default-constructed (use run_collect to also get the error records).
+  /// Runs fn(seed, index) for index in [0, replications) through
+  /// parallel::for_each_index and returns the results in index order
+  /// regardless of scheduling. The result type must be
+  /// default-constructible. fn is invoked concurrently for distinct
+  /// indices when plan().jobs > 1; at jobs 1 everything runs inline on
+  /// the calling thread. A throwing replication propagates the exception
+  /// of the lowest failing index at any jobs value; remaining indices may
+  /// never run.
   template <class Fn>
   auto run(Fn&& fn) const
       -> std::vector<std::invoke_result_t<Fn&, std::uint64_t, std::size_t>> {
-    using R = std::invoke_result_t<Fn&, std::uint64_t, std::size_t>;
-    if (plan_.failure_policy == FailurePolicy::kCollect) {
-      return run_collect(std::forward<Fn>(fn)).results;
-    }
-    std::vector<R> results(plan_.replications);
-    auto one = [&](std::size_t i) {
+    std::vector<std::invoke_result_t<Fn&, std::uint64_t, std::size_t>>
+        results(plan_.replications);
+    for_each_index(plan_.jobs, plan_.replications, [&](std::size_t i) {
       results[i] = fn(stream_seed(plan_.base_seed, i), i);
-    };
-    if (jobs_ == 1 || plan_.replications <= 1) {
-      for (std::size_t i = 0; i < plan_.replications; ++i) one(i);
-    } else {
-      ThreadPool pool(jobs_);
-      pool.for_each_index(plan_.replications, one);
-    }
+    });
     return results;
-  }
-
-  /// Collect-and-continue batch: every index runs to completion no matter
-  /// how many throw; failures come back as ReplicationError records
-  /// (sorted by index) with their result slots default-constructed.
-  /// Error capture is per-index, so the batch — errors included — is as
-  /// deterministic as the experiment itself.
-  template <class Fn>
-  auto run_collect(Fn&& fn) const -> ReplicationBatch<
-      std::invoke_result_t<Fn&, std::uint64_t, std::size_t>> {
-    using R = std::invoke_result_t<Fn&, std::uint64_t, std::size_t>;
-    ReplicationBatch<R> batch;
-    batch.results.resize(plan_.replications);
-    std::vector<std::string> messages(plan_.replications);
-    std::vector<std::uint8_t> failed(plan_.replications, 0);
-    auto one = [&](std::size_t i) {
-      try {
-        batch.results[i] = fn(stream_seed(plan_.base_seed, i), i);
-      } catch (const std::exception& e) {
-        failed[i] = 1;
-        messages[i] = e.what();
-      } catch (...) {
-        failed[i] = 1;
-        messages[i] = "non-standard exception";
-      }
-    };
-    if (jobs_ == 1 || plan_.replications <= 1) {
-      for (std::size_t i = 0; i < plan_.replications; ++i) one(i);
-    } else {
-      ThreadPool pool(jobs_);
-      pool.for_each_index(plan_.replications, one);
-    }
-    for (std::size_t i = 0; i < plan_.replications; ++i) {
-      if (failed[i] != 0) batch.errors.push_back({i, std::move(messages[i])});
-    }
-    return batch;
-  }
-
-  /// Runs a metric-row experiment — fn(seed, index) returns one double
-  /// per entry of `metric_names` — as a *streaming* reduction: rows are
-  /// folded into per-metric running statistics in index order as each
-  /// batch completes and then discarded, so memory stays O(batch size)
-  /// regardless of the replication count. The aggregates are bit-identical
-  /// to buffering every row and calling util::summarize_replications
-  /// (identical flop sequence), and bit-identical at any jobs value.
-  /// Under FailurePolicy::kCollect, failed replications surface in
-  /// `errors` and the aggregates cover the successful rows only.
-  template <class Fn>
-  ReplicationSummary run_summarized(std::vector<std::string> metric_names,
-                                    Fn&& fn) const {
-    StoppingRule fixed;  // target 0: never stops early, streams all N
-    fixed.max_reps = plan_.replications;
-    return run_sequential(std::move(metric_names), fixed,
-                          std::forward<Fn>(fn));
   }
 
   /// Sequential-stopping replication: executes deterministic batches of
   /// fn(seed, index) — seeds are stream_seed(base, index), identical to a
   /// fixed-N run — and after each batch evaluates the watched metric's
   /// CI half-width over the index-ordered aggregate, stopping as soon as
-  /// the rule's target is met (never before min_reps) or max_reps is
-  /// exhausted. Because batch boundaries and the aggregate are pure
-  /// functions of the replication indices, the stop point, the report,
-  /// and every summary are bit-identical at any jobs value; a stopped
-  /// run's k replications are exactly the first k of the fixed-N run.
-  /// Rows are reduced on the fly: memory is O(batch size).
+  /// the rule's target is met or max_reps is exhausted. Because batch
+  /// boundaries and the aggregate are pure functions of the replication
+  /// indices, the stop point, the report, and every summary are
+  /// bit-identical at any jobs value; a stopped run's k replications are
+  /// exactly the first k of the fixed-N run.
+  /// A default rule (no target, max_reps 0) is the fixed-N streaming
+  /// reduction over plan().replications, bit-identical to buffering every
+  /// row and calling util::summarize_replications. Rows are reduced on
+  /// the fly: memory is O(batch size). A throwing replication propagates
+  /// the exception of the lowest failing index, as run() does.
   template <class Fn>
   ReplicationSummary run_sequential(std::vector<std::string> metric_names,
                                     const StoppingRule& rule,
@@ -342,39 +235,18 @@ class ReplicationRunner {
     ReplicationSummary out;
     std::vector<util::RunningStats> acc(metric_names.size());
     std::vector<std::vector<double>> batch_rows(r.batch);
-    std::vector<std::exception_ptr> batch_errors(r.batch);
-    std::unique_ptr<ThreadPool> pool;
-    if (jobs_ > 1 && r.max_reps > 1) pool = std::make_unique<ThreadPool>(jobs_);
 
     std::size_t executed = 0;
     StopReason reason = StopReason::kMaxReps;
     while (executed < r.max_reps) {
       const std::size_t count = std::min(r.batch, r.max_reps - executed);
-      auto one = [&](std::size_t k) {
-        batch_errors[k] = nullptr;
-        try {
-          const std::size_t index = executed + k;
-          batch_rows[k] = fn(stream_seed(plan_.base_seed, index), index);
-        } catch (...) {
-          batch_errors[k] = std::current_exception();
-        }
-      };
-      if (!pool || count <= 1) {
-        for (std::size_t k = 0; k < count; ++k) one(k);
-      } else {
-        pool->for_each_index(count, one);
-      }
+      for_each_index(plan_.jobs, count, [&](std::size_t k) {
+        const std::size_t index = executed + k;
+        batch_rows[k] = fn(stream_seed(plan_.base_seed, index), index);
+      });
       out.peak_buffered_rows = std::max(out.peak_buffered_rows, count);
       // Reduce this batch in index order, then release the rows.
       for (std::size_t k = 0; k < count; ++k) {
-        if (batch_errors[k]) {
-          if (plan_.failure_policy == FailurePolicy::kFailFast) {
-            std::rethrow_exception(batch_errors[k]);
-          }
-          out.errors.push_back(
-              {executed + k, error_message(batch_errors[k])});
-          continue;
-        }
         const std::vector<double>& row = batch_rows[k];
         if (row.size() != metric_names.size()) {
           throw std::invalid_argument(
@@ -384,8 +256,7 @@ class ReplicationRunner {
         batch_rows[k] = {};
       }
       executed += count;
-      if ((r.target > 0.0 || r.rel > 0.0) && executed >= r.min_reps &&
-          acc[r.watched].count() >= 2) {
+      if ((r.target > 0.0 || r.rel > 0.0) && acc[r.watched].count() >= 2) {
         const double half_width = acc[r.watched].ci_halfwidth(r.z);
         const bool abs_met = r.target > 0.0 && half_width <= r.target;
         const bool rel_met =
@@ -407,7 +278,6 @@ class ReplicationRunner {
     out.stopping.target_half_width = r.target;
     out.stopping.target_rel_half_width = r.rel;
     out.stopping.watched_mean = acc[r.watched].mean();
-    out.stopping.confidence = r.confidence;
     out.stopping.reason = reason;
     out.metric_names = std::move(metric_names);
     return out;
@@ -415,7 +285,6 @@ class ReplicationRunner {
 
  private:
   ReplicationPlan plan_;
-  std::size_t jobs_;
 };
 
 }  // namespace smac::parallel

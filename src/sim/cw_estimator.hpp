@@ -127,7 +127,10 @@ class EstimatingRuntime {
  public:
   /// `make_strategy(i, estimates, flags)` builds node i's strategy around
   /// the runtime's shared estimate and misbehavior-flag feeds (both are
-  /// refreshed every stage before strategies decide).
+  /// refreshed every stage before strategies decide). Node j is flagged
+  /// when its measured attempt rate significantly exceeds compliance with
+  /// the *modal* window of the last played profile (the de-facto
+  /// agreement); DetectorGtft captures both feeds.
   using StrategyFactory = std::function<std::unique_ptr<game::Strategy>(
       std::size_t, std::shared_ptr<const std::vector<double>>,
       std::shared_ptr<const std::vector<bool>>)>;
@@ -135,17 +138,6 @@ class EstimatingRuntime {
   EstimatingRuntime(SimConfig config, std::size_t n,
                     const StrategyFactory& make_strategy,
                     double stage_duration_us);
-
-  /// Per-node misbehavior flags, refreshed every stage: node j is flagged
-  /// when its measured attempt rate significantly exceeds compliance with
-  /// the *modal* window of the last played profile (the de-facto
-  /// agreement). Strategies may capture this feed (DetectorGtft does).
-  std::shared_ptr<const std::vector<bool>> flag_feed() const {
-    return flags_;
-  }
-  std::shared_ptr<const std::vector<double>> estimate_feed() const {
-    return feed_;
-  }
 
   EstimationRuntimeResult play(int stages);
 

@@ -64,10 +64,6 @@ void Simulator::set_all_cw(int w) {
   for (auto& node : nodes_) node.set_cw(w);
 }
 
-void Simulator::set_node_online(std::size_t i, bool up) {
-  node_up_.at(i) = up ? 1 : 0;
-}
-
 void Simulator::set_profile(const std::vector<int>& cw_profile) {
   if (cw_profile.size() != nodes_.size()) {
     throw std::invalid_argument("Simulator::set_profile: size mismatch");
@@ -270,26 +266,23 @@ std::vector<double> replicated_metric_row(const SimResult& r) {
 
 }  // namespace
 
-SimBatch run_replicated(const SimConfig& config,
-                        const std::vector<int>& cw_profile,
-                        std::uint64_t slots, std::size_t replications,
-                        std::size_t jobs) {
+parallel::ReplicationSummary run_replicated(
+    const SimConfig& config, const std::vector<int>& cw_profile,
+    std::uint64_t slots, std::size_t replications, std::size_t jobs) {
   parallel::StoppingRule fixed;  // target 0: stream all N, never stop early
   fixed.max_reps = replications;
   return run_replicated(config, cw_profile, slots, fixed, jobs);
 }
 
-SimBatch run_replicated(const SimConfig& config,
-                        const std::vector<int>& cw_profile,
-                        std::uint64_t slots,
-                        const parallel::StoppingRule& rule,
-                        std::size_t jobs) {
+parallel::ReplicationSummary run_replicated(
+    const SimConfig& config, const std::vector<int>& cw_profile,
+    std::uint64_t slots, const parallel::StoppingRule& rule, std::size_t jobs) {
   if (rule.max_reps == 0) {
     throw std::invalid_argument("run_replicated: rule.max_reps == 0");
   }
   const parallel::ReplicationRunner runner(
       {rule.max_reps, config.seed, jobs});
-  auto summary = runner.run_sequential(
+  return runner.run_sequential(
       replicated_metric_names(), rule,
       [&](std::uint64_t seed, std::size_t /*index*/) {
         SimConfig replica = config;
@@ -297,10 +290,6 @@ SimBatch run_replicated(const SimConfig& config,
         Simulator simulator(replica, cw_profile);
         return replicated_metric_row(simulator.run_slots(slots));
       });
-  SimBatch batch;
-  batch.metrics = std::move(summary.metrics);
-  batch.stopping = std::move(summary.stopping);
-  return batch;
 }
 
 }  // namespace smac::sim

@@ -107,9 +107,8 @@ class Simulator {
   /// Current queue length of node i (0 in saturated mode).
   std::uint64_t backlog(std::size_t i) const { return backlog_.at(i); }
 
-  /// Crashes (up = false) or rejoins node i, on top of any scripted plan.
-  /// A crashed node does not contend, advance backoff, or drain its queue.
-  void set_node_online(std::size_t i, bool up);
+  /// False while node i is crashed by the scripted plan. A crashed node
+  /// does not contend, advance backoff, or drain its queue.
   bool node_online(std::size_t i) const { return node_up_.at(i) != 0; }
   /// Channel slots simulated since construction (scripted SlotEvent
   /// indices refer to this counter).
@@ -136,22 +135,9 @@ class Simulator {
   std::uint64_t total_slots_ = 0;
 };
 
-/// Streaming aggregate of a replicated Monte-Carlo batch of one simulator
-/// configuration. Individual SimResult windows are reduced on the fly
-/// (replication r ran with seed parallel::stream_seed(config.seed, r));
-/// only the across-replication aggregates and the stopping report are
-/// retained, so memory is O(batch size) regardless of replication count.
-/// To inspect a single replication, rebuild it: Simulator with
-/// config.seed = parallel::stream_seed(config.seed, r).
-struct SimBatch {
-  /// Across-replication aggregates: throughput, collision/idle fractions,
-  /// mean payoff rate, Jain fairness of payoff, mean tau, mean p.
-  std::vector<util::MetricSummary> metrics;
-  /// Replications executed, achieved CI half-width, and stop reason.
-  parallel::StoppingReport stopping;
-};
-
-/// Metric names of SimBatch::metrics, in column order.
+/// Metric names of a replicated batch's metrics, in column order:
+/// throughput, collision/idle fractions, mean payoff rate, Jain fairness
+/// of payoff, mean tau, mean p.
 const std::vector<std::string>& replicated_metric_names();
 
 /// Runs `replications` independent copies of (config, cw_profile) for
@@ -159,19 +145,20 @@ const std::vector<std::string>& replicated_metric_names();
 /// 0 = ThreadPool::default_jobs()). config.seed acts as the base seed of
 /// the replication family; results are bit-identical for any `jobs`
 /// (see src/parallel/replication.hpp for the determinism contract).
-SimBatch run_replicated(const SimConfig& config,
-                        const std::vector<int>& cw_profile,
-                        std::uint64_t slots, std::size_t replications,
-                        std::size_t jobs = 1);
+/// Individual SimResult windows are reduced on the fly and not retained;
+/// to inspect replication r, rebuild it: Simulator with
+/// config.seed = parallel::stream_seed(config.seed, r).
+parallel::ReplicationSummary run_replicated(
+    const SimConfig& config, const std::vector<int>& cw_profile,
+    std::uint64_t slots, std::size_t replications, std::size_t jobs = 1);
 
 /// Sequential-stopping variant: replicates in deterministic batches until
 /// `rule`'s CI half-width target is met or rule.max_reps (must be > 0) is
 /// exhausted. The first k replications are bit-identical to the fixed-N
 /// overload's; the stop point is jobs-invariant.
-SimBatch run_replicated(const SimConfig& config,
-                        const std::vector<int>& cw_profile,
-                        std::uint64_t slots,
-                        const parallel::StoppingRule& rule,
-                        std::size_t jobs = 1);
+parallel::ReplicationSummary run_replicated(
+    const SimConfig& config, const std::vector<int>& cw_profile,
+    std::uint64_t slots, const parallel::StoppingRule& rule,
+    std::size_t jobs = 1);
 
 }  // namespace smac::sim

@@ -92,6 +92,8 @@ struct MetricSummary {
   double ci95 = 0.0;
   double min = 0.0;
   double max = 0.0;
+
+  bool operator==(const MetricSummary&) const = default;
 };
 
 /// Column-wise aggregation of replication rows: rows[r][m] is metric m of

@@ -155,30 +155,6 @@ TEST(FaultRepeatedGame, ReplicatedFaultRunsAreJobCountInvariant) {
   }
 }
 
-TEST(FailurePolicy, CollectRecordsErrorsInIndexOrder) {
-  parallel::ReplicationPlan plan;
-  plan.replications = 6;
-  plan.base_seed = 3;
-  plan.jobs = 2;
-  plan.failure_policy = parallel::FailurePolicy::kCollect;
-  const auto batch =
-      parallel::ReplicationRunner(plan).run_collect(
-          [](std::uint64_t, std::size_t i) -> int {
-            if (i == 1 || i == 4) throw std::runtime_error("boom");
-            return static_cast<int>(i) * 10;
-          });
-  EXPECT_FALSE(batch.ok());
-  ASSERT_EQ(batch.errors.size(), 2u);
-  EXPECT_EQ(batch.errors[0].index, 1u);
-  EXPECT_EQ(batch.errors[0].message, "boom");
-  EXPECT_EQ(batch.errors[1].index, 4u);
-  EXPECT_FALSE(batch.succeeded(1));
-  EXPECT_TRUE(batch.succeeded(2));
-  ASSERT_EQ(batch.results.size(), 6u);
-  EXPECT_EQ(batch.results[1], 0);  // default-constructed slot
-  EXPECT_EQ(batch.results[5], 50);
-}
-
 TEST(FailurePolicy, FailFastPropagatesFirstError) {
   parallel::ReplicationPlan plan;
   plan.replications = 4;
@@ -189,29 +165,6 @@ TEST(FailurePolicy, FailFastPropagatesFirstError) {
                      return 0;
                    }),
                std::runtime_error);
-}
-
-TEST(FailurePolicy, SummarizedAggregatesSkipFailedRows) {
-  parallel::ReplicationPlan plan;
-  plan.replications = 5;
-  plan.jobs = 1;
-  plan.failure_policy = parallel::FailurePolicy::kCollect;
-  const auto summary = parallel::ReplicationRunner(plan).run_summarized(
-      {"value"}, [](std::uint64_t, std::size_t i) -> std::vector<double> {
-        if (i == 2) throw std::runtime_error("boom");
-        return {static_cast<double>(i)};
-      });
-  ASSERT_EQ(summary.errors.size(), 1u);
-  EXPECT_EQ(summary.errors[0].index, 2u);
-  EXPECT_EQ(summary.errors[0].message, "boom");
-  // The streaming reduction drops failed replications entirely: the mean
-  // covers the successful rows {0, 1, 3, 4} only and the sample count
-  // reflects that.
-  ASSERT_EQ(summary.metrics.size(), 1u);
-  EXPECT_EQ(summary.metrics[0].count, 4u);
-  EXPECT_DOUBLE_EQ(summary.metrics[0].mean, 2.0);
-  EXPECT_EQ(summary.stopping.replications, 5u);
-  EXPECT_EQ(summary.stopping.samples, 4u);
 }
 
 TEST(DegradationReport, MergeAndSummary) {

@@ -94,8 +94,8 @@ TEST(ReplicationRunnerTest, JobsInvarianceBitIdentical) {
 
 TEST(ReplicationRunnerTest, SummarizedAggregatesMatchHandComputation) {
   const parallel::ReplicationRunner runner({4, 1, 2});
-  const auto summary = runner.run_summarized(
-      {"value"}, [](std::uint64_t /*seed*/, std::size_t index) {
+  const auto summary = runner.run_sequential(
+      {"value"}, {}, [](std::uint64_t /*seed*/, std::size_t index) {
         return std::vector<double>{static_cast<double>(index + 1)};
       });
   ASSERT_EQ(summary.metrics.size(), 1u);

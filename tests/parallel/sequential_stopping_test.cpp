@@ -8,8 +8,8 @@
 //   * streaming reduction buffers at most one batch of rows while
 //     producing aggregates bit-identical to buffering every row and
 //     calling util::summarize_replications;
-//   * stop reasons, min_reps, batch boundaries, failure collection, and
-//     rule validation behave as documented.
+//   * stop reasons, batch boundaries, fail-fast propagation, and rule
+//     validation behave as documented.
 #include "parallel/replication.hpp"
 
 #include <gtest/gtest.h>
@@ -52,12 +52,12 @@ void expect_bit_identical(const std::vector<util::MetricSummary>& a,
 }
 
 TEST(SequentialStoppingTest, StreamingTenThousandMatchesBufferedBitwise) {
-  // The ISSUE acceptance criterion: a 10^4-replication run_summarized
-  // stays O(batch_size) in memory while matching the buffered reduction.
+  // A 10^4-replication fixed-N run (default rule) stays O(batch_size) in
+  // memory while matching the buffered reduction.
   const std::size_t n = 10000;
   const ReplicationRunner runner({n, 42, 1});
   const ReplicationSummary streamed =
-      runner.run_summarized(kNames, noisy_row);
+      runner.run_sequential(kNames, {}, noisy_row);
 
   std::vector<std::vector<double>> rows;
   rows.reserve(n);
@@ -119,7 +119,7 @@ TEST(SequentialStoppingTest, StoppedRunPrefixMatchesFixedN) {
   // A fixed-N run over exactly k replications sees the same seeds in the
   // same order — its aggregates must be bit-identical to the stopped run.
   const ReplicationSummary fixed =
-      ReplicationRunner({k, 7, 1}).run_summarized(kNames, noisy_row);
+      ReplicationRunner({k, 7, 1}).run_sequential(kNames, {}, noisy_row);
   expect_bit_identical(stopped.metrics, fixed.metrics);
   EXPECT_LE(stopped.stopping.achieved_half_width,
             rule.ci_half_width_target);
@@ -140,20 +140,6 @@ TEST(SequentialStoppingTest, ZeroVarianceMetricStopsAtFirstBoundary) {
   EXPECT_EQ(s.metrics[1].mean, 7.25);
 }
 
-TEST(SequentialStoppingTest, MinRepsDelaysStopToCoveringBoundary) {
-  StoppingRule rule;
-  rule.metric = "constant";
-  rule.ci_half_width_target = 1e-12;
-  rule.batch_size = 8;
-  rule.min_reps = 20;  // first boundary ≥ 20 is 24
-  rule.max_reps = 100;
-
-  const ReplicationSummary s =
-      ReplicationRunner({1, 3, 1}).run_sequential(kNames, rule, noisy_row);
-  EXPECT_EQ(s.stopping.replications, 24u);
-  EXPECT_EQ(s.stopping.reason, StopReason::kCiTarget);
-}
-
 TEST(SequentialStoppingTest, UnreachableTargetRunsToMaxReps) {
   StoppingRule rule;
   rule.metric = "noisy";
@@ -167,27 +153,6 @@ TEST(SequentialStoppingTest, UnreachableTargetRunsToMaxReps) {
   EXPECT_EQ(s.stopping.reason, StopReason::kMaxReps);
   EXPECT_FALSE(s.stopping.target_met());
   EXPECT_GT(s.stopping.achieved_half_width, rule.ci_half_width_target);
-}
-
-TEST(SequentialStoppingTest, WiderConfidenceNeedsMoreReplications) {
-  StoppingRule rule;
-  rule.metric = "noisy";
-  rule.ci_half_width_target = 0.06;
-  rule.batch_size = 8;
-  rule.max_reps = 4000;
-
-  rule.confidence = 0.90;
-  const std::size_t reps90 = ReplicationRunner({1, 5, 1})
-                                 .run_sequential(kNames, rule, noisy_row)
-                                 .stopping.replications;
-  rule.confidence = 0.99;
-  const std::size_t reps99 = ReplicationRunner({1, 5, 1})
-                                 .run_sequential(kNames, rule, noisy_row)
-                                 .stopping.replications;
-  // A 99% interval is wider than a 90% one at the same sample count, so
-  // reaching the same half-width target must take at least as many reps.
-  EXPECT_GE(reps99, reps90);
-  EXPECT_GT(reps99, 0u);
 }
 
 TEST(SequentialStoppingTest, RelativeTargetStopsEarly) {
@@ -291,27 +256,6 @@ TEST(SequentialStoppingTest, ValidatesRelativeTargetInputs) {
                std::invalid_argument);
 }
 
-TEST(SequentialStoppingTest, CollectedFailuresAreExcludedFromAggregates) {
-  ReplicationPlan plan{12, 9, 1};
-  plan.failure_policy = FailurePolicy::kCollect;
-  StoppingRule rule;
-  rule.max_reps = 12;
-  rule.batch_size = 4;
-
-  const ReplicationSummary s =
-      ReplicationRunner(plan).run_sequential(
-          {"value"}, rule, [](std::uint64_t, std::size_t index) {
-            if (index % 3 == 2) throw std::runtime_error("boom");
-            return std::vector<double>{static_cast<double>(index)};
-          });
-  EXPECT_EQ(s.stopping.replications, 12u);
-  EXPECT_EQ(s.stopping.samples, 8u);
-  ASSERT_EQ(s.errors.size(), 4u);
-  EXPECT_EQ(s.errors[0].index, 2u);
-  EXPECT_EQ(s.errors[0].message, "boom");
-  EXPECT_EQ(s.metrics[0].count, 8u);
-}
-
 TEST(SequentialStoppingTest, FailFastRethrowsFromBatch) {
   StoppingRule rule;
   rule.max_reps = 8;
@@ -329,11 +273,6 @@ TEST(SequentialStoppingTest, ValidatesRuleInputs) {
   const ReplicationRunner runner({4, 1, 1});
   StoppingRule rule;
   rule.metric = "no-such-metric";
-  EXPECT_THROW(runner.run_sequential(kNames, rule, noisy_row),
-               std::invalid_argument);
-  rule = {};
-  rule.confidence = 1.5;
-  rule.ci_half_width_target = 0.1;
   EXPECT_THROW(runner.run_sequential(kNames, rule, noisy_row),
                std::invalid_argument);
   rule = {};
@@ -377,7 +316,7 @@ TEST(SequentialStoppingTest, SummaryLineNamesTheStop) {
   EXPECT_NE(seq.find("constant"), std::string::npos);
 
   const ReplicationSummary fixed =
-      ReplicationRunner({6, 3, 1}).run_summarized(kNames, noisy_row);
+      ReplicationRunner({6, 3, 1}).run_sequential(kNames, {}, noisy_row);
   const std::string fix = fixed.stopping.summary();
   EXPECT_NE(fix.find("fixed-N"), std::string::npos);
 }
