@@ -10,33 +10,19 @@
 #include "analytical/batch_solver.hpp"
 #include "analytical/solver_detail.hpp"
 #include "parallel/thread_pool.hpp"
+#include "util/hash.hpp"
 
 namespace smac::analytical {
 
-namespace {
-
-/// SplitMix64-style avalanche: mixes each key component into the running
-/// hash with full 64-bit diffusion (vector hashing via std::hash would
-/// need a loop anyway; this keeps the combine explicit and portable).
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  return h;
-}
-
-}  // namespace
-
 std::size_t SolverService::KeyHash::operator()(const Key& key) const noexcept {
-  std::uint64_t h = 0x243f6a8885a308d3ULL;
-  h = mix(h, static_cast<std::uint64_t>(key.window.size()));
+  using util::hash_mix;
+  std::uint64_t h = hash_mix(util::kHashSeed, key.window.size());
   for (std::size_t c = 0; c < key.window.size(); ++c) {
-    h = mix(h, static_cast<std::uint64_t>(key.window[c]));
-    h = mix(h, static_cast<std::uint64_t>(key.multiplicity[c]));
+    h = hash_mix(h, static_cast<std::uint64_t>(key.window[c]));
+    h = hash_mix(h, static_cast<std::uint64_t>(key.multiplicity[c]));
   }
-  h = mix(h, static_cast<std::uint64_t>(key.max_stage));
-  h = mix(h, std::bit_cast<std::uint64_t>(key.packet_error_rate));
+  h = hash_mix(h, static_cast<std::uint64_t>(key.max_stage));
+  h = hash_mix(h, std::bit_cast<std::uint64_t>(key.packet_error_rate));
   return static_cast<std::size_t>(h);
 }
 
@@ -83,18 +69,23 @@ void SolverService::adopt(Key key, const TrySolveResult& solved,
   }
 }
 
-void SolverService::tally_invalid() const {
+void SolverService::tally_invalid(std::uint64_t requests) const {
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  ++misses_;
+  misses_ += requests;
 }
 
 SolverService::Ticket SolverService::submit(ClassProfile classes,
                                             int max_stage,
-                                            double packet_error_rate) const {
+                                            double packet_error_rate,
+                                            std::uint64_t count) const {
+  if (count == 0) {
+    throw std::invalid_argument("SolverService::submit: count 0");
+  }
   auto request = std::make_shared<Ticket::Request>();
   request->classes = std::move(classes);
   request->max_stage = max_stage;
   request->packet_error_rate = packet_error_rate;
+  request->count = count;
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     pending_.push_back(request);
@@ -118,34 +109,43 @@ void SolverService::drain() const {
 
   // Group requests onto canonical keys in deterministic (ordered-map)
   // order, so tally and adoption order are a function of the request set
-  // alone — never of submission interleaving.
-  std::map<Key, std::vector<Ticket::Request*>> groups;
+  // alone — never of submission interleaving. A group's count is the sum
+  // of its tickets' counts: the requests they stand for.
+  struct Group {
+    std::vector<Ticket::Request*> tickets;
+    std::uint64_t count = 0;
+  };
+  std::map<Key, Group> groups;
   for (const auto& request : batch) {
     if (!detail::valid_class_inputs(request->classes, request->max_stage,
                                     request->packet_error_rate)) {
-      tally_invalid();
+      tally_invalid(request->count);
       fulfill(*request, detail::invalid_result());
       continue;
     }
     Key key{request->classes.window, request->classes.multiplicity,
             request->max_stage, request->packet_error_rate};
-    groups[std::move(key)].push_back(request.get());
+    Group& group = groups[std::move(key)];
+    group.tickets.push_back(request.get());
+    group.count += request->count;
   }
 
   // Answer cached keys, collect the misses.
   std::vector<ClassProfileInstance> instances;
-  std::vector<std::pair<const Key*, std::vector<Ticket::Request*>*>> misses;
-  for (auto& [key, requests] : groups) {
-    if (const auto cached = lookup(key, requests.size())) {
-      for (Ticket::Request* request : requests) fulfill(*request, *cached);
+  std::vector<std::pair<const Key*, const Group*>> misses;
+  for (const auto& [key, group] : groups) {
+    if (const auto cached = lookup(key, group.count)) {
+      for (Ticket::Request* request : group.tickets) {
+        fulfill(*request, *cached);
+      }
       continue;
     }
     ClassProfileInstance instance;
-    instance.classes = requests.front()->classes;
+    instance.classes = group.tickets.front()->classes;
     instance.max_stage = key.max_stage;
     instance.packet_error_rate = key.packet_error_rate;
     instances.push_back(std::move(instance));
-    misses.emplace_back(&key, &requests);
+    misses.emplace_back(&key, &group);
   }
 
   // Solve the distinct misses in lockstep, chunked across the pool when
@@ -171,9 +171,11 @@ void SolverService::drain() const {
 
   // Adopt and fulfill in the same deterministic group order.
   for (std::size_t m = 0; m < misses.size(); ++m) {
-    const auto& [key, requests] = misses[m];
-    adopt(*key, solved[m], requests->size());
-    for (Ticket::Request* request : *requests) fulfill(*request, solved[m]);
+    const auto& [key, group] = misses[m];
+    adopt(*key, solved[m], group->count);
+    for (Ticket::Request* request : group->tickets) {
+      fulfill(*request, solved[m]);
+    }
   }
 }
 
@@ -181,7 +183,7 @@ TrySolveResult SolverService::solve(const ClassProfile& classes,
                                     int max_stage,
                                     double packet_error_rate) const {
   if (!detail::valid_class_inputs(classes, max_stage, packet_error_rate)) {
-    tally_invalid();
+    tally_invalid(1);
     return detail::invalid_result();
   }
   Key key{classes.window, classes.multiplicity, max_stage,

@@ -100,6 +100,7 @@ class SolverService {
       ClassProfile classes;
       int max_stage = 0;
       double packet_error_rate = 0.0;
+      std::uint64_t count = 1;  ///< requests this ticket stands for
       TrySolveResult result;
       std::atomic<bool> done{false};
     };
@@ -117,8 +118,13 @@ class SolverService {
   /// it; the key is the window/multiplicity multiset, and class_of only
   /// supplies the node count). No solving happens until drain() — submit
   /// everything a phase needs first.
+  ///
+  /// `count` is how many identical requests the ticket stands for: a
+  /// caller that already merged r equal requests submits one ticket with
+  /// count r, and the traffic counters advance exactly as for r separate
+  /// submissions. Throws std::invalid_argument when count is 0.
   Ticket submit(ClassProfile classes, int max_stage,
-                double packet_error_rate) const;
+                double packet_error_rate, std::uint64_t count = 1) const;
 
   /// Fulfills every pending request: answers duplicates and cached keys,
   /// batch-solves the distinct misses, caches the results. Requests
@@ -164,8 +170,8 @@ class SolverService {
   /// inserted the key first, else one miss plus `requests − 1` hits.
   void adopt(Key key, const TrySolveResult& solved,
              std::uint64_t requests) const;
-  /// Counts one miss for a request rejected by valid_class_inputs.
-  void tally_invalid() const;
+  /// Counts `requests` misses for requests rejected by valid_class_inputs.
+  void tally_invalid(std::uint64_t requests) const;
 
   Options options_;
   mutable std::mutex cache_mutex_;  ///< guards cache_, hits_, misses_

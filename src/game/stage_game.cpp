@@ -1,8 +1,11 @@
 #include "game/stage_game.hpp"
 
+#include <cstdint>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "analytical/utility.hpp"
+#include "util/hash.hpp"
 
 namespace smac::game {
 
@@ -64,26 +67,74 @@ StageGame::StagePayoffs StageGame::try_stage_utilities(
   });
 }
 
+namespace {
+
+/// Exact-profile identity: window, multiplicity *and* class_of. Two
+/// permutations of one canonical key may price a last ulp apart (the
+/// channel metrics fold in node order), so only exact equals share a
+/// price() call.
+struct ExactProfileHash {
+  std::size_t operator()(const analytical::ClassProfile* p) const noexcept {
+    std::uint64_t h = util::hash_ints(util::kHashSeed, p->window);
+    h = util::hash_ints(h, p->multiplicity);
+    return static_cast<std::size_t>(util::hash_ints(h, p->class_of));
+  }
+};
+struct ExactProfileEqual {
+  bool operator()(const analytical::ClassProfile* a,
+                  const analytical::ClassProfile* b) const noexcept {
+    return a->window == b->window && a->multiplicity == b->multiplicity &&
+           a->class_of == b->class_of;
+  }
+};
+
+}  // namespace
+
+template <typename Finish>
 std::vector<StageGame::StagePayoffs> StageGame::price_batch(
     const std::vector<analytical::ClassProfile>& profiles,
-    std::optional<double> per_override) const {
+    std::optional<double> per_override, Finish&& finish) const {
   const double per = per_override.value_or(params_.packet_error_rate);
-  std::vector<analytical::SolverService::Ticket> tickets(profiles.size());
+  // Merge exact repeats: each distinct profile is one ticket standing for
+  // all its requests (so the cache tallies match one ticket per request)
+  // and one price() call, whose result is copied out per request.
+  std::unordered_map<const analytical::ClassProfile*, std::size_t,
+                     ExactProfileHash, ExactProfileEqual>
+      slot_of;
+  std::vector<const analytical::ClassProfile*> distinct;
+  std::vector<std::uint64_t> count;
+  std::vector<std::size_t> slot(profiles.size());
   for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (profiles[i].class_count() > 0) {
-      tickets[i] =
-          solver_.submit(profiles[i], params_.max_backoff_stage, per);
+    const auto [it, fresh] = slot_of.try_emplace(&profiles[i], distinct.size());
+    if (fresh) {
+      distinct.push_back(&profiles[i]);
+      count.push_back(0);
+    }
+    slot[i] = it->second;
+    ++count[it->second];
+  }
+
+  std::vector<analytical::SolverService::Ticket> tickets(distinct.size());
+  for (std::size_t d = 0; d < distinct.size(); ++d) {
+    if (distinct[d]->class_count() > 0) {
+      tickets[d] = solver_.submit(*distinct[d], params_.max_backoff_stage,
+                                  per, count[d]);
     }
   }
   solver_.drain();
+  std::vector<StagePayoffs> priced;
+  priced.reserve(distinct.size());
+  for (std::size_t d = 0; d < distinct.size(); ++d) {
+    priced.push_back(
+        price(*distinct[d], [&]() -> const analytical::TrySolveResult& {
+          return tickets[d].result();
+        }));
+    finish(*distinct[d], priced.back());
+  }
+
   std::vector<StagePayoffs> out;
   out.reserve(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    out.push_back(
-        price(profiles[i], [&]() -> const analytical::TrySolveResult& {
-          return tickets[i].result();
-        }));
-  }
+  for (const std::size_t d : slot) out.push_back(priced[d]);
   return out;
 }
 
@@ -95,31 +146,31 @@ std::vector<StageGame::StagePayoffs> StageGame::try_stage_utilities_batch(
   for (const std::vector<int>& w : profiles) {
     classes.push_back(analytical::classify_profile(w));
   }
-  return price_batch(classes, per_override);
+  return price_batch(classes, per_override,
+                     [](const analytical::ClassProfile&, StagePayoffs&) {});
 }
 
 std::vector<StageGame::ClassPayoffs> StageGame::try_class_utilities_batch(
     const std::vector<analytical::ClassProfile>& profiles,
     std::optional<double> per_override) const {
-  std::vector<ClassPayoffs> out = price_batch(profiles, per_override);
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    if (out[i].utilities.empty()) continue;
-    // Compress back to one entry per class: the first node of a class
-    // carries the class value, since nodes of a class share tau/p
-    // bit-for-bit.
-    const std::size_t k = profiles[i].class_count();
-    std::vector<double> per_class(k, 0.0);
-    std::vector<char> seen(k, 0);
-    for (std::size_t node = 0; node < profiles[i].node_count(); ++node) {
-      const auto c = static_cast<std::size_t>(profiles[i].class_of[node]);
-      if (!seen[c]) {
-        seen[c] = 1;
-        per_class[c] = out[i].utilities[node];
-      }
-    }
-    out[i].utilities = std::move(per_class);
-  }
-  return out;
+  return price_batch(
+      profiles, per_override,
+      [](const analytical::ClassProfile& classes, StagePayoffs& payoffs) {
+        if (payoffs.utilities.empty()) return;
+        // Compress back to one entry per class: the first node of a class
+        // carries the class value, since nodes of a class share tau/p
+        // bit-for-bit.
+        std::vector<double> per_class(classes.class_count(), 0.0);
+        std::vector<char> seen(classes.class_count(), 0);
+        for (std::size_t node = 0; node < classes.node_count(); ++node) {
+          const auto c = static_cast<std::size_t>(classes.class_of[node]);
+          if (!seen[c]) {
+            seen[c] = 1;
+            per_class[c] = payoffs.utilities[node];
+          }
+        }
+        payoffs.utilities = std::move(per_class);
+      });
 }
 
 double StageGame::homogeneous_utility_rate(int w, int n) const {

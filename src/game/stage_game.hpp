@@ -80,9 +80,11 @@ class StageGame {
   /// holds one stage payoff per *class* — the payoff every node of that
   /// class would get from try_stage_utilities on any expansion of the
   /// profile, bitwise (nodes of a class share tau/p exactly). This is the
-  /// city-scale entry point: a 10^4-node stage submits only its distinct
-  /// (neighborhood-size, window-mix, PER) classes and expands per node
-  /// afterwards. Profiles with no classes yield kFailed/"invalid".
+  /// city-scale entry point: a 10^4-node stage submits one ticket per
+  /// distinct local profile, solves only its distinct
+  /// (neighborhood-size, window-mix, PER) classes, and copies each
+  /// distinct profile's payoffs out to its repeats. Profiles with no
+  /// classes yield kFailed/"invalid".
   using ClassPayoffs = StagePayoffs;  ///< utilities sized class_count()
   std::vector<ClassPayoffs> try_class_utilities_batch(
       const std::vector<analytical::ClassProfile>& profiles,
@@ -118,11 +120,14 @@ class StageGame {
   template <typename Solve>
   StagePayoffs price(const analytical::ClassProfile& classes, Solve&& solve,
                      bool price_unusable = false) const;
-  /// Submits every profile with classes, drains once, and prices each
-  /// node of every profile in input order.
+  /// Submits every distinct profile with classes (one ticket per exact
+  /// profile, counted once per request), drains once, prices each
+  /// distinct profile, applies `finish(profile, payoffs)` to it, and
+  /// copies the result out to every request in input order.
+  template <typename Finish>
   std::vector<StagePayoffs> price_batch(
       const std::vector<analytical::ClassProfile>& profiles,
-      std::optional<double> per_override) const;
+      std::optional<double> per_override, Finish&& finish) const;
 
   phy::Parameters params_;
   phy::AccessMode mode_;

@@ -4,9 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <optional>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "fault/fault_injector.hpp"
@@ -16,6 +16,7 @@
 #include "parallel/replication.hpp"
 #include "parallel/thread_pool.hpp"
 #include "phy/parameters.hpp"
+#include "util/hash.hpp"
 
 namespace smac::multihop {
 namespace {
@@ -77,6 +78,21 @@ MultihopResult run_stage_sim(const CityScaleConfig& config,
   return r;
 }
 
+/// The SolverService's canonical key within one stage (fixed max stage
+/// and PER): the (window, multiplicity) multiset, class_of ignored.
+struct CanonicalClassHash {
+  std::size_t operator()(const analytical::ClassProfile* p) const noexcept {
+    return static_cast<std::size_t>(util::hash_ints(
+        util::hash_ints(util::kHashSeed, p->window), p->multiplicity));
+  }
+};
+struct CanonicalClassEqual {
+  bool operator()(const analytical::ClassProfile* a,
+                  const analytical::ClassProfile* b) const noexcept {
+    return a->window == b->window && a->multiplicity == b->multiplicity;
+  }
+};
+
 }  // namespace
 
 double city_arena_side_m(std::size_t nodes, double range_m,
@@ -99,14 +115,12 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
   NeighborhoodPricing out;
   out.payoff.assign(index.node_count(), 0.0);
 
-  // One class request per active node. The canonical dedup lives in the
-  // SolverService's cache: the drain groups identical
-  // (window, multiplicity) multisets onto one solve and tallies the
-  // duplicates as cache hits — so SolveCacheStats records exactly how
-  // much of the stage the symmetry collapse absorbed (the class-collapse
-  // regression test pins that).
-  std::map<std::pair<std::vector<int>, std::vector<int>>, std::size_t>
-      distinct;
+  // One class request per active node. StageGame merges exact repeats
+  // into one ticket, and the SolverService's drain groups identical
+  // (window, multiplicity) multisets onto one solve, tallying every
+  // duplicate request as a cache hit — so SolveCacheStats records exactly
+  // how much of the stage the symmetry collapse absorbed (the
+  // class-collapse regression test pins that).
   struct NodeRef {
     std::size_t node;
     std::size_t self_class;  ///< node's own class within its local profile
@@ -125,12 +139,16 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
     // 1-player "game" is degenerate; see local_game.hpp).
     if (local.size() == 1) local.push_back(profile[i]);
     analytical::ClassProfile classes = analytical::classify_profile(local);
-    distinct.emplace(std::make_pair(classes.window, classes.multiplicity),
-                     refs.size());
     refs.push_back({i, static_cast<std::size_t>(classes.class_of[0])});
     requests.push_back(std::move(classes));
   }
   out.priced_nodes = refs.size();
+  std::unordered_set<const analytical::ClassProfile*, CanonicalClassHash,
+                     CanonicalClassEqual>
+      distinct;
+  for (const analytical::ClassProfile& classes : requests) {
+    distinct.insert(&classes);
+  }
   out.distinct_classes = distinct.size();
 
   const auto priced = game.try_class_utilities_batch(requests);

@@ -126,10 +126,11 @@ double city_arena_side_m(std::size_t nodes, double range_m,
 /// same 2-player convention as local_efficient_cw). payoff[i] is the
 /// stage payoff node i earns in its local game — bitwise what
 /// try_stage_utilities on the expanded local profile would give it — and
-/// 0 for offline nodes and unusable solves. One request is submitted per
-/// node; the SolverService groups identical canonical classes onto one
-/// solve and counts the duplicates as cache hits, so SolveCacheStats
-/// measures the symmetry collapse directly.
+/// 0 for offline nodes and unusable solves. One request is built per
+/// node; StageGame submits one ticket per distinct local profile (counted
+/// once per node), and the SolverService groups identical canonical
+/// classes onto one solve and counts the duplicates as cache hits, so
+/// SolveCacheStats measures the symmetry collapse directly.
 struct NeighborhoodPricing {
   std::vector<double> payoff;
   std::size_t priced_nodes = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 
 #include "game/equilibrium.hpp"
@@ -51,20 +52,36 @@ TftConvergence tft_min_convergence(const Topology& topology,
   TftConvergence out;
   out.trajectory.push_back(seed_profile);
   std::vector<int> current = std::move(seed_profile);
-  std::vector<int> next(current.size());
+  std::vector<int> next = current;
 
+  // Frontier sweeps. After any sweep every node already holds the minimum
+  // of its closed neighbourhood's previous windows, so an unchanged
+  // neighbour j has current[j] >= current[i]: only nodes whose window
+  // dropped in the last sweep can lower anyone in the next. Each pushes
+  // its window to its neighbours (the adjacency is symmetric). min is
+  // order-independent, so the visiting order — ascending node index, for
+  // memory locality — cannot change a result. The first frontier is every
+  // node, which makes the first sweep the full one.
+  std::vector<std::size_t> frontier(current.size());
+  std::iota(frontier.begin(), frontier.end(), std::size_t{0});
+  std::size_t frontier_size = frontier.size();
   for (int stage = 0; stage < max_stages; ++stage) {
-    bool changed = false;
-    for (std::size_t i = 0; i < current.size(); ++i) {
-      int w = current[i];
-      for (std::size_t j : topology.neighbors(i)) {
-        w = std::min(w, current[j]);
+    for (std::size_t f = 0; f < frontier_size; ++f) {
+      const std::size_t j = frontier[f];
+      const int w = current[j];
+      for (const std::size_t i : topology.neighbors(j)) {
+        next[i] = std::min(next[i], w);
       }
-      next[i] = w;
-      changed |= (w != current[i]);
     }
-    if (!changed) break;
-    current = next;
+    // Collect the nodes that dropped, branch-free (a data-dependent branch
+    // here mispredicts on every ragged frontier), and commit the sweep.
+    frontier_size = 0;
+    for (std::size_t i = 0; i < current.size(); ++i) {
+      frontier[frontier_size] = i;
+      frontier_size += next[i] < current[i] ? 1 : 0;
+      current[i] = next[i];
+    }
+    if (frontier_size == 0) break;
     out.trajectory.push_back(current);
     ++out.stages;
   }

@@ -27,6 +27,12 @@ std::vector<int> local_efficient_cw(const Topology& topology,
 
 /// Trajectory of the graph-TFT dynamics W_i^{k+1} = min_{j ∈ N(i) ∪ {i}}
 /// W_j^k from the seed profile until no window changes.
+///
+/// Cost: one full sweep (O(n + m), m = edges); every later sweep visits
+/// only the neighbours of the nodes whose window dropped in the sweep
+/// before, since a window can only fall when a neighbour's just fell —
+/// O(Σ drops × degree) edge visits in all, plus an O(n) scan per stage
+/// (the same order as the trajectory row each stage stores).
 struct TftConvergence {
   std::vector<std::vector<int>> trajectory;  ///< [stage][node]
   int stages = 0;          ///< stages until stable (0 = already stable)

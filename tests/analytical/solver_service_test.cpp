@@ -12,6 +12,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -124,6 +125,46 @@ TEST(SolverServiceTest, InvalidRequestsFailLikeDirectCalls) {
             SolveStatus::kFailed);
   EXPECT_EQ(service.cache_stats().misses, 6u);
   EXPECT_EQ(service.cache_stats().size, 0u);
+}
+
+TEST(SolverServiceTest, CountedTicketTalliesItsRequests) {
+  // One ticket standing for r requests tallies what r one-request
+  // tickets would: a fresh key is 1 miss + (r - 1) hits, a cached key r
+  // hits, an invalid request r misses.
+  constexpr std::uint64_t kRequests = 7;
+  SolverService service;
+  const SolverService::Ticket fresh =
+      service.submit(classify_profile({16, 16, 32}), 6, 0.1, kRequests);
+  service.drain();
+  expect_matches_direct(fresh.result(), {16, 16, 32}, 6, 0.1);
+  SolveCacheStats stats = service.cache_stats();
+  EXPECT_EQ(stats.size, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, kRequests - 1);
+
+  // A permutation of the cached key, counted r, next to a one-request
+  // ticket on the same key: one group of r + 1 hits.
+  service.submit(classify_profile({32, 16, 16}), 6, 0.1, kRequests);
+  submit(service, {16, 32, 16}, 6, 0.1);
+  service.drain();
+  stats = service.cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2 * kRequests);
+
+  ClassProfile unsorted = classify_profile({16, 32});
+  std::swap(unsorted.window[0], unsorted.window[1]);
+  const SolverService::Ticket invalid =
+      service.submit(unsorted, 6, 0.0, kRequests);
+  service.drain();
+  EXPECT_STREQ(invalid.result().diagnostics.method, "invalid");
+  stats = service.cache_stats();
+  EXPECT_EQ(stats.size, 1u);
+  EXPECT_EQ(stats.misses, 1 + kRequests);
+  EXPECT_EQ(stats.hits, 2 * kRequests);
+
+  EXPECT_THROW(service.submit(classify_profile({16}), 6, 0.0, 0),
+               std::invalid_argument);
+  EXPECT_EQ(service.pending(), 0u);
 }
 
 TEST(SolverServiceTest, PoolChunkedDrainIsBitIdentical) {

@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace smac::game {
@@ -81,6 +82,67 @@ TEST(StageGameBatchTest, PrefetchTurnsSequentialSolvesIntoHits) {
   const analytical::SolveCacheStats after = game.solve_cache_stats();
   EXPECT_EQ(after.misses, warmed.misses);
   EXPECT_EQ(after.hits, warmed.hits + profiles.size());
+}
+
+TEST(StageGameBatchTest, ExactRepeatsShareOneTicketWithSequentialTally) {
+  // Exact repeats are merged into one ticket and one price() call; two
+  // permutations of one canonical key are distinct profiles (they may
+  // price a last ulp apart) but share one solve. Every entry must equal a
+  // one-request batch bitwise, and the cache counters must equal the
+  // same requests' sequential tally.
+  std::vector<analytical::ClassProfile> profiles;
+  for (const std::vector<int>& w : std::vector<std::vector<int>>{
+           {8, 32, 32, 64},
+           {16, 16},
+           {8, 32, 32, 64},  // exact repeat
+           {64, 32, 8, 32},  // permutation of the first
+           {16, 16},
+           {64, 32, 8, 32},
+           {8, 32, 32, 64},
+       }) {
+    profiles.push_back(analytical::classify_profile(w));
+  }
+  analytical::ClassProfile unsorted = analytical::classify_profile({16, 32});
+  std::swap(unsorted.window[0], unsorted.window[1]);
+  profiles.push_back(unsorted);  // invalid, twice
+  profiles.push_back(unsorted);
+  profiles.emplace_back();       // no classes: never reaches the solver
+
+  const StageGame game(test_params(), phy::AccessMode::kBasic);
+  const StageGame sequential(test_params(), phy::AccessMode::kBasic);
+  const auto batched = game.try_class_utilities_batch(profiles);
+  ASSERT_EQ(batched.size(), profiles.size());
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    const auto one = sequential.try_class_utilities_batch({profiles[i]});
+    EXPECT_EQ(batched[i].diagnostics.status, one[0].diagnostics.status)
+        << "profile " << i;
+    EXPECT_STREQ(batched[i].diagnostics.method, one[0].diagnostics.method)
+        << "profile " << i;
+    expect_bits_equal(batched[i].utilities, one[0].utilities);
+  }
+  EXPECT_STREQ(batched[7].diagnostics.method, "invalid");
+  EXPECT_TRUE(batched[9].utilities.empty());
+
+  const analytical::SolveCacheStats got = game.solve_cache_stats();
+  const analytical::SolveCacheStats want = sequential.solve_cache_stats();
+  EXPECT_EQ(got.size, want.size);
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.size, 2u);
+  EXPECT_EQ(got.misses, 4u);  // two fresh keys + two invalid requests
+  EXPECT_EQ(got.hits, 5u);    // the other five valid requests
+
+  // The node-space batch shares the path: same bits, same tally.
+  const StageGame nodes(test_params(), phy::AccessMode::kBasic);
+  const std::vector<std::vector<int>> w{{8, 32, 32}, {32, 32, 8},
+                                        {8, 32, 32}, {8, 32, 32}};
+  const auto node_batched = nodes.try_stage_utilities_batch(w);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    expect_bits_equal(node_batched[i].utilities,
+                      sequential.try_stage_utilities(w[i]).utilities);
+  }
+  EXPECT_EQ(nodes.solve_cache_stats().misses, 1u);
+  EXPECT_EQ(nodes.solve_cache_stats().hits, 3u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+
 #include "game/equilibrium.hpp"
 
 namespace smac::multihop {
@@ -26,6 +30,49 @@ Topology star(int leaves) {
     pos.push_back({240.0 * std::cos(angle), 240.0 * std::sin(angle)});
   }
   return Topology(pos, 250.0);
+}
+
+// The definition of graph-TFT as full synchronous sweeps: the oracle the
+// frontier kernel in tft_min_convergence is pinned to.
+TftConvergence full_sweep_tft(const Topology& t, std::vector<int> current,
+                              int max_stages) {
+  TftConvergence out;
+  out.trajectory.push_back(current);
+  for (int stage = 0; stage < max_stages; ++stage) {
+    std::vector<int> next(current.size());
+    for (std::size_t i = 0; i < current.size(); ++i) {
+      next[i] = current[i];
+      for (const std::size_t j : t.neighbors(i)) {
+        next[i] = std::min(next[i], current[j]);
+      }
+    }
+    if (next == current) break;
+    current = std::move(next);
+    out.trajectory.push_back(current);
+    ++out.stages;
+  }
+  out.converged_w = *std::min_element(current.begin(), current.end());
+  out.uniform = std::all_of(current.begin(), current.end(),
+                            [&](int w) { return w == current.front(); });
+  return out;
+}
+
+/// Uniform random placement of n nodes in a side × side arena (250 m
+/// range): mean degree ~ n·π·250²/side², components once it is small.
+Topology random_unit_disk(std::size_t n, double side, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> coord(0.0, side);
+  std::vector<Vec2> pos(n);
+  for (Vec2& p : pos) p = {coord(rng), coord(rng)};
+  return Topology(pos, 250.0);
+}
+
+void expect_same_convergence(const TftConvergence& got,
+                             const TftConvergence& want) {
+  EXPECT_EQ(got.trajectory, want.trajectory);
+  EXPECT_EQ(got.stages, want.stages);
+  EXPECT_EQ(got.converged_w, want.converged_w);
+  EXPECT_EQ(got.uniform, want.uniform);
 }
 
 TEST(LocalEfficientCwTest, MatchesPerDegreeSingleHopNe) {
@@ -128,6 +175,43 @@ TEST(TftConvergenceTest, DisconnectedComponentsKeepOwnMinima) {
   EXPECT_EQ(last[2], 25);
   EXPECT_EQ(last[3], 25);
   EXPECT_EQ(conv.converged_w, 25);  // global min across components
+}
+
+TEST(TftConvergenceTest, FrontierSweepsMatchFullSweepOracle) {
+  // Dense (mostly connected) and sparse (many components) random graphs,
+  // each under random, uniform and single-minimum seeds, run to
+  // convergence and truncated at 0, 1 and stages - 1 sweeps.
+  int truncated_runs = 0;
+  for (const double side : {2500.0, 6000.0}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const Topology t = random_unit_disk(300, side, seed);
+      if (side > 5000.0) {
+        EXPECT_FALSE(t.connected());
+      }
+      std::mt19937_64 rng(seed * 7919);
+      std::uniform_int_distribution<int> window(8, 1024);
+      std::vector<std::vector<int>> seeds(3);
+      for (std::size_t i = 0; i < t.node_count(); ++i) {
+        seeds[0].push_back(window(rng));
+      }
+      seeds[1].assign(t.node_count(), 64);
+      seeds[2].assign(t.node_count(), 512);
+      seeds[2][seed * 37 % t.node_count()] = 16;
+      for (const std::vector<int>& profile : seeds) {
+        const TftConvergence full = tft_min_convergence(t, profile);
+        expect_same_convergence(full, full_sweep_tft(t, profile, 10000));
+        for (const int max_stages : {0, 1, full.stages - 1}) {
+          if (max_stages < 0) continue;
+          const TftConvergence cut =
+              tft_min_convergence(t, profile, max_stages);
+          expect_same_convergence(cut, full_sweep_tft(t, profile, max_stages));
+          EXPECT_EQ(cut.stages, std::min(max_stages, full.stages));
+          truncated_runs += max_stages < full.stages ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(truncated_runs, 0);
 }
 
 TEST(TftConvergenceTest, Theorem3SeededConvergence) {
