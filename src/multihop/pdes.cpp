@@ -4,41 +4,49 @@
 // Each region is a logical process advancing through the window's slots
 // in a two-phase cycle:
 //
-//   publish(s): apply scripted fault events for global slot base+s to the
-//     region's active-mask replica, step its Gilbert–Elliott replica,
-//     derive the owned transmit set from purely local backoff state,
-//     write the owned transmit flags into the slot-parity ring, and
+//   publish(s): apply the region's own scripted fault events for global
+//     slot base+s to its members' active bytes, derive the owned transmit
+//     set from purely local backoff state, write one byte per owned node
+//     into the slot-parity ring (bit 0 = active, bit 1 = transmits), and
 //     release-publish horizon s+1. Runs unconditionally — publication
 //     never waits, which is what creates the one-slot lookahead.
 //   commit(s): runs only once every dependency has published horizon
 //     >= s+1. Classifies owned transmitters (receiver pick + corruption
 //     trial from the (node, slot) draw streams), accrues owned local
 //     channel time — re-deriving fringe neighbors' on-air outcomes from
-//     their published flags and replayable draws — and applies outcomes
-//     to owned backoff state and tallies.
+//     their published ring bytes and replayable draws — and applies
+//     outcomes to owned backoff state and tallies.
 //
 // The depth-2 parity ring is race-free because dependent regions can
-// never drift by more than one published slot: region r publishes s+1
-// only after committing slot s-1, which required every dependency to
-// have published s — so a writer of parity (s+1)&1 can only overwrite
-// flags a dependency has provably finished reading (the release/acquire
-// chain through the pub counters carries the happens-before TSan needs).
+// never drift by more than one published slot: region r publishes slot
+// s only after committing slot s-1, which required every dependency d to
+// have published s-1, which d did only after committing s-2 — the last
+// slot whose bytes share parity s&1. So a writer of ring[s & 1] can only
+// overwrite bytes every dependent reader has provably finished with, and
+// the release/acquire chain through the horizon counters carries the
+// happens-before TSan needs. The active bit rides in the same byte, in
+// the same store, so the same argument covers it: a dependent reads a
+// foreign node's slot-s active state only after acquiring the owner's
+// horizon s+1, which the owner released after applying that node's
+// slot-s events. The owner-only `active` array is never read across
+// regions.
 //
-// Every region applies the full scripted event list to its own replica
-// (events are a pure function of the slot index), so active masks agree
-// across regions without communication; the Gilbert–Elliott replicas
-// likewise step once per slot from the same captured state. Workers own
-// regions statically (region id mod worker count) and spin over them,
-// yielding when no owned region can progress; the region with the
-// globally minimal horizon is always runnable, so the schedule is
-// deadlock-free at any worker count.
+// Each region applies only its members' events (filtered once per window
+// at setup); the Gilbert–Elliott chain, a pure function of the slot
+// index, is stepped once for the whole window into a per-slot PER table.
+// All per-node state lives in RegionPartition's position space, so a
+// region's walks are over contiguous slices. Worker w owns a contiguous
+// block of region ids — a horizontal band of tiles, since tiles are
+// numbered row-major — and spins over it, yielding when no owned region
+// can progress; the region with the globally minimal horizon is always
+// runnable, so the schedule is deadlock-free at any worker count.
 #include "multihop/pdes.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -76,9 +84,12 @@ RegionPartition::RegionPartition(const Topology& topology,
   options.validate();
   const std::size_t n = topology.node_count();
   const std::vector<Vec2>& pos = topology.positions();
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("RegionPartition: more than 2^32 - 1 nodes");
+  }
   lookahead_m_ = 3.0 * topology.range_m();
   region_of_.resize(n);
-  owned_pos_.resize(n);
+  first_.assign(1, 0);
   if (n == 0) return;
 
   const double edge = options.region_edge_factor * topology.range_m();
@@ -117,10 +128,35 @@ RegionPartition::RegionPartition(const Topology& topology,
 
   std::size_t regions = 0;
   for (std::size_t r : region_of_) regions = std::max(regions, r + 1);
-  members_.resize(regions);
-  for (std::size_t i = 0; i < n; ++i) {
-    owned_pos_[i] = static_cast<std::uint32_t>(members_[region_of_[i]].size());
-    members_[region_of_[i]].push_back(i);
+
+  // Region-major layout: a counting sort by region (stable, so members
+  // stay ascending by node id), then CSR adjacency relabeled to positions
+  // in the topology's list order.
+  first_.assign(regions + 1, 0);
+  for (std::size_t r : region_of_) ++first_[r + 1];
+  for (std::size_t r = 0; r < regions; ++r) first_[r + 1] += first_[r];
+  node_at_.resize(n);
+  position_of_.resize(n);
+  {
+    std::vector<std::uint32_t> fill(first_.begin(), first_.end() - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint32_t p = fill[region_of_[i]]++;
+      node_at_[p] = static_cast<std::uint32_t>(i);
+      position_of_[i] = p;
+    }
+  }
+  adjacency_first_.resize(n + 1);
+  adjacency_first_[0] = 0;
+  for (std::uint32_t p = 0; p < n; ++p) {
+    adjacency_first_[p + 1] =
+        adjacency_first_[p] + topology.degree(node_at_[p]);
+  }
+  adjacency_.resize(adjacency_first_[n]);
+  for (std::uint32_t p = 0; p < n; ++p) {
+    std::uint32_t* out = adjacency_.data() + adjacency_first_[p];
+    for (std::size_t j : topology.neighbors(node_at_[p])) {
+      *out++ = position_of_[j];
+    }
   }
 
   // Dependencies: regions owning nodes within lookahead_m_ of each other,
@@ -138,26 +174,31 @@ RegionPartition::RegionPartition(const Topology& topology,
                    static_cast<std::int64_t>(std::floor(pos[i].y / lookahead_m_))};
       grid[cell_key(coarse[i].first, coarse[i].second)].push_back(i);
     }
+    // Region by region over the position order: once q is known to be a
+    // dependency of r, q's nodes need no further distance checks for r.
     const double reach_sq = lookahead_m_ * lookahead_m_;
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::int64_t dx = -1; dx <= 1; ++dx) {
-        for (std::int64_t dy = -1; dy <= 1; ++dy) {
-          auto it = grid.find(
-              cell_key(coarse[i].first + dx, coarse[i].second + dy));
-          if (it == grid.end()) continue;
-          for (std::size_t j : it->second) {
-            if (region_of_[j] == region_of_[i]) continue;
-            if (distance_sq(pos[i], pos[j]) <= reach_sq) {
-              deps_[region_of_[i]].push_back(region_of_[j]);
+    std::vector<std::size_t> dep_of(regions, regions);  // q -> last r
+    for (std::size_t r = 0; r < regions; ++r) {
+      for (std::uint32_t p = first_[r]; p < first_[r + 1]; ++p) {
+        const std::size_t i = node_at_[p];
+        for (std::int64_t dx = -1; dx <= 1; ++dx) {
+          for (std::int64_t dy = -1; dy <= 1; ++dy) {
+            auto it = grid.find(
+                cell_key(coarse[i].first + dx, coarse[i].second + dy));
+            if (it == grid.end()) continue;
+            for (std::size_t j : it->second) {
+              const std::size_t q = region_of_[j];
+              if (q == r || dep_of[q] == r) continue;
+              if (distance_sq(pos[i], pos[j]) <= reach_sq) {
+                dep_of[q] = r;
+                deps_[r].push_back(q);
+              }
             }
           }
         }
       }
-    }
-    for (std::vector<std::size_t>& d : deps_) {
-      std::sort(d.begin(), d.end());
-      d.erase(std::unique(d.begin(), d.end()), d.end());
-      dep_edges_ += d.size();
+      std::sort(deps_[r].begin(), deps_[r].end());
+      dep_edges_ += deps_[r].size();
     }
   }
 }
@@ -182,34 +223,40 @@ bool RegionPartition::covers_dependencies(const Topology& topology) const {
 }
 
 /// The per-window engine (friend of MultihopSimulator). Constructed,
-/// run, and discarded inside run_slots_pdes.
+/// run, and discarded inside run_slots_pdes. All per-node state lives in
+/// position space (RegionPartition's region-major layout), so a region
+/// touches one contiguous slice of every array plus its fringe.
 struct PdesEngine {
-  /// One logical process. `pub` is the only cross-thread field: it
-  /// counts published slots (pub == s+1 means the slot-s transmit flags
-  /// of every owned node are readable). All other state is owner-only.
-  struct Region {
-    std::size_t id = 0;
-    std::vector<std::uint8_t> active;  ///< full replica, events applied
-    fault::GilbertElliottChannel chain;
-    double per_eff = 0.0;  ///< this slot's PER, publish -> commit
-    std::size_t event_cursor = 0;
-    std::uint64_t done = 0;  ///< committed slots
+  /// One region's published horizon on a cache line of its own: pub ==
+  /// s+1 means the slot-s ring bytes of every owned node are readable.
+  /// With the ring and the abort flag, the only cross-thread state.
+  struct alignas(64) Horizon {
     std::atomic<std::uint64_t> pub{0};
-    std::vector<std::size_t> transmitters;  ///< owned, ascending
-    std::vector<int> tx_outcome;            ///< aligned with transmitters
-    std::vector<std::size_t> scratch;
-    /// Epoch-stamped on-air cache: air_val[j] is valid iff
-    /// air_stamp[j] == done+1. Reset-free across slots.
-    std::vector<std::uint64_t> air_stamp;
-    std::vector<std::uint8_t> air_val;
-
-    Region(std::size_t region_id, const MultihopSimulator& sim)
-        : id(region_id),
-          active(sim.active_),
-          chain(sim.fault_channel_),
-          event_cursor(sim.next_fault_event_),
-          air_stamp(sim.active_.size(), 0),
-          air_val(sim.active_.size(), 0) {}
+  };
+  /// Owner-only state of one logical process.
+  struct Region {
+    std::size_t event = 0;      ///< cursor into events
+    std::size_t event_end = 0;  ///< one past this region's events
+    std::uint64_t done = 0;     ///< committed slots
+    std::uint64_t violations = 0;
+    std::uint64_t max_lead = 0;
+    std::vector<std::uint32_t> transmitters;  ///< owned positions
+    std::vector<int> tx_outcome;              ///< aligned with transmitters
+  };
+  /// A scripted crash/join, relabeled to its node's position.
+  struct Event {
+    std::uint64_t slot = 0;
+    std::uint32_t position = 0;
+    std::uint8_t active = 0;
+  };
+  /// Per-worker scratch. `air` is the epoch-stamped on-air cache:
+  /// air[p] == (s+1) << 1 | success holds position p's slot-s on-air
+  /// outcome. The value is a pure function of (p, s), so the regions of
+  /// one worker share the cache whatever slots they are at. Aligned so
+  /// no two workers' scratch headers share a cache line.
+  struct alignas(64) Worker {
+    std::vector<std::uint64_t> air;
+    std::vector<std::uint32_t> scratch;
   };
 
   MultihopSimulator& sim;
@@ -217,70 +264,145 @@ struct PdesEngine {
   const std::uint64_t base;   ///< sim.total_slots_ at window start
   const std::uint64_t slots;  ///< window length
   const bool channel_on;
+  const std::size_t workers;
 
-  std::deque<Region> regions;
-  /// Transmit-flag parity ring: flags[s & 1][node] for slot s. Plain
-  /// bytes — the pub release/acquire chain orders every access.
-  std::vector<std::uint8_t> flags[2];
+  std::vector<Region> regions;
+  std::vector<Horizon> horizon;
+  std::vector<Worker> worker_state;
+  /// Owned events, grouped by region (Region::event..event_end), each
+  /// group in (slot, declaration) order.
+  std::vector<Event> events;
+  std::size_t events_consumed;  ///< facade cursor after this window
+  std::vector<double> per_eff;  ///< slot -> PER_eff (channel_on only)
+  std::uint64_t bad_state_slots = 0;
+
+  // Position-indexed state; region r reads and writes only its slice
+  // [first(r), last(r)) of these, except the ring.
+  std::vector<sim::DcfNode> nodes;
+  std::vector<std::uint64_t> draw_base;
+  std::vector<std::uint8_t> active;
   std::vector<detail::SlotTally> tally;
+  /// Published parity ring: ring[s & 1][p] is position p's slot-s byte,
+  /// bit 0 = active, bit 1 = transmits. Written by the owner at
+  /// publish, read by dependents at commit; plain bytes — the horizon
+  /// release/acquire chain orders every access.
+  std::vector<std::uint8_t> ring[2];
   std::atomic<bool> abort{false};
-  std::atomic<std::uint64_t> violations{0};
-  std::atomic<std::uint64_t> max_lead{0};
 
   PdesEngine(MultihopSimulator& simulator, const RegionPartition& partition,
-             std::uint64_t window_slots)
+             std::uint64_t window_slots, std::size_t jobs)
       : sim(simulator),
         part(partition),
         base(simulator.total_slots_),
         slots(window_slots),
         channel_on(simulator.config_.faults.channel.enabled()),
-        tally(simulator.nodes_.size()) {
-    flags[0].assign(sim.nodes_.size(), 0);
-    flags[1].assign(sim.nodes_.size(), 0);
-    for (std::size_t r = 0; r < part.region_count(); ++r) {
-      regions.emplace_back(r, sim);
+        workers(jobs),
+        regions(partition.region_count()),
+        horizon(partition.region_count()),
+        worker_state(jobs),
+        events_consumed(simulator.next_fault_event_) {
+    const std::size_t n = sim.nodes_.size();
+    for (Worker& w : worker_state) w.air.assign(n, 0);
+    ring[0].assign(n, 0);
+    ring[1].assign(n, 0);
+    tally.resize(n);
+
+    // Each region gets only its own members' scripted events in this
+    // window, filtered once here (counting sort by region, stable).
+    const auto& all = sim.config_.faults.events;
+    const std::uint64_t end = base + slots;
+    while (events_consumed < all.size() && all[events_consumed].slot < end) {
+      ++events_consumed;
+    }
+    std::vector<std::size_t> fill(regions.size() + 1, 0);
+    for (std::size_t k = sim.next_fault_event_; k < events_consumed; ++k) {
+      ++fill[part.region_of(all[k].node) + 1];
+    }
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      fill[r + 1] += fill[r];
+      regions[r].event = fill[r];
+      regions[r].event_end = fill[r + 1];
+    }
+    events.resize(events_consumed - sim.next_fault_event_);
+    for (std::size_t k = sim.next_fault_event_; k < events_consumed; ++k) {
+      const fault::SlotEvent& e = all[k];
+      events[fill[part.region_of(e.node)]++] = {
+          e.slot, part.position_of(e.node),
+          static_cast<std::uint8_t>(e.kind == fault::FaultKind::kJoin)};
+    }
+
+    // The Gilbert-Elliott chain is a pure function of the slot index:
+    // the facade's chain steps through the window once, here, and every
+    // region reads the per-slot PER from the table.
+    if (channel_on) per_eff.resize(slots);
+    for (std::uint64_t s = 0; s < slots; ++s) {
+      sim.fault_channel_.step();
+      if (sim.fault_channel_.bad()) ++bad_state_slots;
+      if (channel_on) {
+        per_eff[s] = sim.fault_channel_.effective_per(
+            sim.config_.params.packet_error_rate);
+      }
+    }
+
+    draw_base.resize(n);
+    active.resize(n);
+    nodes.reserve(n);
+    for (std::uint32_t p = 0; p < n; ++p) {
+      const std::size_t i = part.node_at(p);
+      draw_base[p] = sim.draw_base_[i];
+      active[p] = sim.active_[i];
+      nodes.push_back(std::move(sim.nodes_[i]));
     }
   }
 
-  /// Phase 1 of slot `r.done`: faults, chain, transmit set, publication.
-  void publish(Region& r) {
+  /// Moves the backoff and active state back to node order — also when a
+  /// worker threw, so the simulator never keeps moved-from nodes.
+  ~PdesEngine() {
+    for (std::uint32_t p = 0; p < nodes.size(); ++p) {
+      const std::size_t i = part.node_at(p);
+      sim.nodes_[i] = std::move(nodes[p]);
+      sim.active_[i] = active[p];
+    }
+  }
+
+  /// Tallies scattered back to node order for assemble_result.
+  std::vector<detail::SlotTally> node_tallies() const {
+    std::vector<detail::SlotTally> out(tally.size());
+    for (std::uint32_t p = 0; p < tally.size(); ++p) {
+      out[part.node_at(p)] = tally[p];
+    }
+    return out;
+  }
+
+  /// Phase 1 of slot `r.done`: owned events, transmit set, publication.
+  void publish(std::size_t id) {
+    Region& r = regions[id];
     const std::uint64_t s = r.done;
     const std::uint64_t global_slot = base + s;
-    const auto& events = sim.config_.faults.events;
-    while (r.event_cursor < events.size() &&
-           events[r.event_cursor].slot <= global_slot) {
-      const fault::SlotEvent& e = events[r.event_cursor++];
-      r.active[e.node] = e.kind == fault::FaultKind::kJoin ? 1 : 0;
+    for (; r.event < r.event_end && events[r.event].slot <= global_slot;
+         ++r.event) {
+      active[events[r.event].position] = events[r.event].active;
     }
-    r.chain.step();
-    r.per_eff = channel_on ? r.chain.effective_per(
-                                 sim.config_.params.packet_error_rate)
-                           : 0.0;
 
-    std::uint8_t* slot_flags = flags[s & 1].data();
+    std::uint8_t* out = ring[s & 1].data();
     r.transmitters.clear();
-    for (std::size_t i : part.members(r.id)) {
-      const bool tx = r.active[i] != 0 && sim.nodes_[i].ready();
-      slot_flags[i] = tx ? 1 : 0;
-      if (tx) r.transmitters.push_back(i);
+    for (std::uint32_t p = part.first(id), e = part.last(id); p < e; ++p) {
+      const bool tx = active[p] != 0 && nodes[p].ready();
+      out[p] = static_cast<std::uint8_t>(active[p] | (tx ? 2 : 0));
+      if (tx) r.transmitters.push_back(p);
     }
-    r.pub.store(s + 1, std::memory_order_release);
+    horizon[id].pub.store(s + 1, std::memory_order_release);
 
-    std::uint64_t lead = 0;
-    for (std::size_t d : part.deps(r.id)) {
-      const std::uint64_t dp =
-          regions[d].pub.load(std::memory_order_relaxed);
-      if (s + 1 > dp) lead = std::max(lead, s + 1 - dp);
-    }
-    std::uint64_t seen = max_lead.load(std::memory_order_relaxed);
-    while (lead > seen && !max_lead.compare_exchange_weak(
-                              seen, lead, std::memory_order_relaxed)) {
+    for (std::size_t d : part.deps(id)) {
+      const std::uint64_t dp = horizon[d].pub.load(std::memory_order_relaxed);
+      if (s + 1 > dp) r.max_lead = std::max(r.max_lead, s + 1 - dp);
     }
   }
 
-  bool deps_ready(const Region& r) const {
-    for (std::size_t d : part.deps(r.id)) {
-      if (regions[d].pub.load(std::memory_order_acquire) < r.done + 1) {
+  bool deps_ready(std::size_t id) const {
+    for (std::size_t d : part.deps(id)) {
+      if (horizon[d].pub.load(std::memory_order_acquire) <
+          regions[id].done + 1) {
         return false;
       }
     }
@@ -288,87 +410,92 @@ struct PdesEngine {
   }
 
   /// Phase 2 of slot `r.done`: classification, local time, outcomes.
-  /// Caller guarantees deps_ready(r); the recheck is the lookahead
+  /// Caller guarantees deps_ready(id); the recheck is the lookahead
   /// invariant the fuzz tier asserts never fires.
-  void commit(Region& r) {
+  void commit(std::size_t id, Worker& w) {
+    Region& r = regions[id];
     const std::uint64_t s = r.done;
     const std::uint64_t global_slot = base + s;
-    for (std::size_t d : part.deps(r.id)) {
-      if (regions[d].pub.load(std::memory_order_acquire) < s + 1) {
-        violations.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t d : part.deps(id)) {
+      if (horizon[d].pub.load(std::memory_order_acquire) < s + 1) {
+        ++r.violations;
       }
     }
-    const std::uint8_t* slot_flags = flags[s & 1].data();
-    auto is_tx = [slot_flags](std::size_t j) { return slot_flags[j] != 0; };
-    auto is_active = [&r](std::size_t j) { return r.active[j] != 0; };
+    const std::uint8_t* in = ring[s & 1].data();
+    auto is_tx = [in](std::uint32_t q) { return (in[q] & 2) != 0; };
+    auto is_active = [in](std::uint32_t q) { return (in[q] & 1) != 0; };
+    const double per = channel_on ? per_eff[s] : 0.0;
+    const std::uint64_t stamp = (s + 1) << 1;
 
     // Owned transmitters: full outcome, corruption trial included.
     r.tx_outcome.clear();
-    for (std::size_t i : r.transmitters) {
-      util::Rng rng = detail::slot_rng(sim.draw_base_[i], global_slot);
-      int out = detail::classify_transmitter(sim.topology_, i, rng, is_tx,
-                                             is_active, r.scratch);
-      if (out == detail::kOutcomeSuccess && channel_on && r.per_eff > 0.0 &&
-          rng.bernoulli(r.per_eff)) {
+    for (std::uint32_t p : r.transmitters) {
+      util::Rng rng = detail::slot_rng(draw_base[p], global_slot);
+      int out = detail::classify_transmitter(part, p, rng, is_tx, is_active,
+                                             w.scratch);
+      if (out == detail::kOutcomeSuccess && per > 0.0 && rng.bernoulli(per)) {
         out = detail::kOutcomeChannelLoss;
       }
       r.tx_outcome.push_back(out);
-      r.air_stamp[i] = s + 1;
-      r.air_val[i] = detail::on_air_success(out) ? 1 : 0;
+      w.air[p] = stamp | (detail::on_air_success(out) ? 1 : 0);
     }
 
-    // On-air outcome of transmitter j, re-derived on demand for fringe
+    // On-air outcome of transmitter q, re-derived on demand for fringe
     // neighbors: the corruption draw is irrelevant on the air
-    // (slot_kernel.hpp::on_air_success), so published flags + replayable
-    // draws fully determine it.
-    auto air = [&](std::size_t j) -> bool {
-      if (r.air_stamp[j] == s + 1) return r.air_val[j] != 0;
-      util::Rng rng = detail::slot_rng(sim.draw_base_[j], global_slot);
-      const int out = detail::classify_transmitter(
-          sim.topology_, j, rng, is_tx, is_active, r.scratch);
-      r.air_stamp[j] = s + 1;
-      r.air_val[j] = out == detail::kOutcomeSuccess ? 1 : 0;
-      return r.air_val[j] != 0;
+    // (slot_kernel.hpp::on_air_success), so published ring bytes +
+    // replayable draws fully determine it.
+    auto air = [&](std::uint32_t q) -> bool {
+      if ((w.air[q] & ~std::uint64_t{1}) != stamp) {
+        util::Rng rng = detail::slot_rng(draw_base[q], global_slot);
+        const int out = detail::classify_transmitter(part, q, rng, is_tx,
+                                                     is_active, w.scratch);
+        w.air[q] = stamp | (out == detail::kOutcomeSuccess ? 1 : 0);
+      }
+      return (w.air[q] & 1) != 0;
     };
 
-    for (std::size_t i : part.members(r.id)) {
-      if (r.active[i] == 0) continue;
-      const bool self_tx = slot_flags[i] != 0;
-      tally[i].local_time_us += detail::local_slot_time_us(
-          sim.topology_, i, sim.times_, self_tx,
-          self_tx && r.air_val[i] != 0, is_tx, air);
+    const std::uint32_t first = part.first(id);
+    const std::uint32_t last = part.last(id);
+    for (std::uint32_t p = first; p < last; ++p) {
+      if (active[p] == 0) continue;
+      const bool self_tx = is_tx(p);
+      tally[p].local_time_us += detail::local_slot_time_us(
+          part, p, sim.times_, self_tx, self_tx && (w.air[p] & 1) != 0, is_tx,
+          air);
     }
 
     std::size_t next_tx = 0;
-    for (std::size_t i : part.members(r.id)) {
-      if (r.active[i] == 0) continue;
-      if (slot_flags[i] == 0) {
-        sim.nodes_[i].observe_slot();
+    for (std::uint32_t p = first; p < last; ++p) {
+      if (active[p] == 0) continue;
+      if (!is_tx(p)) {
+        nodes[p].observe_slot();
         continue;
       }
-      detail::apply_outcome(r.tx_outcome[next_tx++], tally[i],
-                            sim.nodes_[i]);
+      detail::apply_outcome(r.tx_outcome[next_tx++], tally[p], nodes[p]);
     }
     ++r.done;
   }
 
-  /// Worker body: spin over statically owned regions (id mod workers),
-  /// publishing and committing whatever is runnable; yield when a full
-  /// pass makes no progress (every owned region blocked on a foreign
-  /// horizon).
-  void worker(std::size_t w, std::size_t workers) {
+  /// Worker body: spin over the contiguous block of region ids this
+  /// worker owns (a horizontal band of tiles), publishing and committing
+  /// whatever is runnable; yield when a full pass makes no progress
+  /// (every owned region blocked on a foreign horizon).
+  void worker(std::size_t w) {
+    const std::size_t lo = w * regions.size() / workers;
+    const std::size_t hi = (w + 1) * regions.size() / workers;
+    Worker& state = worker_state[w];
     while (!abort.load(std::memory_order_relaxed)) {
       bool progress = false;
       bool all_done = true;
-      for (std::size_t id = w; id < regions.size(); id += workers) {
+      for (std::size_t id = lo; id < hi; ++id) {
         Region& r = regions[id];
         while (r.done < slots) {
-          if (r.pub.load(std::memory_order_relaxed) == r.done) {
-            publish(r);
+          if (horizon[id].pub.load(std::memory_order_relaxed) == r.done) {
+            publish(id);
             progress = true;
           }
-          if (!deps_ready(r)) break;
-          commit(r);
+          if (!deps_ready(id)) break;
+          commit(id, state);
           progress = true;
           if (abort.load(std::memory_order_relaxed)) return;
         }
@@ -390,49 +517,43 @@ MultihopResult MultihopSimulator::run_slots_pdes(std::uint64_t slots) {
   jobs = std::min({jobs, std::max<std::size_t>(part.region_count(), 1),
                    parallel::ThreadPool::kMaxThreads});
 
-  PdesEngine engine(*this, part, slots);
-  if (part.region_count() > 0) {
-    // count == jobs: every worker gets its own thread and all run at once
-    // (for_each_index's all-in-flight guarantee), as the spinning
-    // hand-offs require.
-    parallel::for_each_index(jobs, jobs, [&engine, jobs](std::size_t w) {
-      try {
-        engine.worker(w, jobs);
-      } catch (...) {
-        engine.abort.store(true, std::memory_order_relaxed);
-        throw;
-      }
-    });
-  }
-
-  // The facade's canonical fault state catches up to the window end:
-  // scripted events through the same mask set_node_active uses, and the
-  // Gilbert-Elliott chain stepped once per slot (identical draw sequence
-  // to every region replica, so later windows chain identically).
+  std::vector<detail::SlotTally> tally;
   std::uint64_t bad_state_slots = 0;
-  const std::uint64_t last_slot = total_slots_ + slots - 1;
-  while (next_fault_event_ < config_.faults.events.size() &&
-         config_.faults.events[next_fault_event_].slot <= last_slot) {
-    const fault::SlotEvent& e = config_.faults.events[next_fault_event_++];
-    active_[e.node] = e.kind == fault::FaultKind::kJoin ? 1 : 0;
-  }
-  for (std::uint64_t s = 0; s < slots; ++s) {
-    fault_channel_.step();
-    if (fault_channel_.bad()) ++bad_state_slots;
-  }
+  std::uint64_t violations = 0;
+  std::uint64_t max_lead = 0;
+  {
+    PdesEngine engine(*this, part, slots, jobs);
+    if (part.region_count() > 0) {
+      // count == jobs: every worker gets its own thread and all run at
+      // once (for_each_index's all-in-flight guarantee), as the spinning
+      // hand-offs require.
+      parallel::for_each_index(jobs, jobs, [&engine](std::size_t w) {
+        try {
+          engine.worker(w);
+        } catch (...) {
+          engine.abort.store(true, std::memory_order_relaxed);
+          throw;
+        }
+      });
+    }
+    for (const PdesEngine::Region& r : engine.regions) {
+      violations += r.violations;
+      max_lead = std::max(max_lead, r.max_lead);
+    }
+    tally = engine.node_tallies();
+    bad_state_slots = engine.bad_state_slots;
+    next_fault_event_ = engine.events_consumed;
+  }  // the engine hands nodes_ and active_ back in node order
   total_slots_ += slots;
 
   last_pdes_.regions = part.region_count();
   last_pdes_.dep_edges = part.dep_edge_count();
   last_pdes_.jobs = jobs;
   last_pdes_.slots = slots;
-  last_pdes_.lookahead_violations =
-      engine.violations.load(std::memory_order_relaxed);
-  last_pdes_.max_horizon_lead =
-      engine.max_lead.load(std::memory_order_relaxed);
+  last_pdes_.lookahead_violations = violations;
+  last_pdes_.max_horizon_lead = max_lead;
 
-  return detail::assemble_result(config_, slots, bad_state_slots,
-                                 engine.tally);
+  return detail::assemble_result(config_, slots, bad_state_slots, tally);
 }
 
 }  // namespace smac::multihop

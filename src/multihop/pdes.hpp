@@ -10,7 +10,7 @@
 // partitioning nodes into spatial regions, giving each region a logical
 // process (LP) with its own slot horizon, and letting a region advance
 // whenever every region owning nodes within the interference lookahead
-// (3·range_m) has published the transmit flags it needs — the
+// (3·range_m) has published the slot state it needs — the
 // min-neighbor-horizon barrier of conservative PDES, with the slotted
 // structure providing exactly one slot of lookahead. No rollback is ever
 // needed; distant regions drift apart freely (pipelining across space).
@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "multihop/topology.hpp"
@@ -89,29 +90,47 @@ struct PdesRunStats {
 /// receiver jamming + 1 hop of neighbor-outcome local-time coupling,
 /// each hop ≤ range_m). Pure function of (positions, range, options):
 /// node order, hash order, and thread count never enter.
+///
+/// The partition also fixes the kernel's region-major memory layout:
+/// nodes are relabeled to *positions* so that every region owns one
+/// contiguous range [first(r), last(r)), members ascending by node id,
+/// and the unit-disk graph is stored as CSR adjacency over positions.
+/// Each CSR list keeps the topology's ascending-node-id order, so a
+/// receiver pick indexes the same neighbor under either labeling.
+/// Positions are std::uint32_t, which bounds the node count at 2³² − 1
+/// (the constructor throws std::length_error beyond it).
 class RegionPartition {
  public:
   RegionPartition(const Topology& topology, const PdesOptions& options);
 
   std::size_t node_count() const noexcept { return region_of_.size(); }
-  std::size_t region_count() const noexcept { return members_.size(); }
+  std::size_t region_count() const noexcept { return deps_.size(); }
   double lookahead_m() const noexcept { return lookahead_m_; }
 
   std::size_t region_of(std::size_t node) const {
     return region_of_.at(node);
   }
-  /// Position of `node` inside members(region_of(node)) — the dense
-  /// owner-local index LPs use for per-owned-node scratch.
-  std::uint32_t owned_pos(std::size_t node) const {
-    return owned_pos_.at(node);
+  /// Region r owns positions [first(r), last(r)).
+  std::uint32_t first(std::size_t region) const { return first_.at(region); }
+  std::uint32_t last(std::size_t region) const {
+    return first_.at(region + 1);
   }
-  /// Owned node ids, ascending.
-  const std::vector<std::size_t>& members(std::size_t region) const {
-    return members_.at(region);
+  /// The permutation: node_at(position) and its inverse.
+  std::size_t node_at(std::uint32_t position) const {
+    return node_at_.at(position);
+  }
+  std::uint32_t position_of(std::size_t node) const {
+    return position_of_.at(node);
+  }
+  /// Neighbor positions of `position`, in ascending node-id order.
+  /// Unchecked (the PDES hot path): position must be < node_count().
+  std::span<const std::uint32_t> neighbors(std::uint32_t position) const {
+    return {adjacency_.data() + adjacency_first_[position],
+            adjacency_.data() + adjacency_first_[position + 1]};
   }
   /// Dependency region ids, ascending, self excluded. A region may
   /// process slot s only when every dependency has published its
-  /// transmit flags for slot s.
+  /// slot-s state.
   const std::vector<std::size_t>& deps(std::size_t region) const {
     return deps_.at(region);
   }
@@ -124,8 +143,11 @@ class RegionPartition {
  private:
   double lookahead_m_ = 0.0;
   std::vector<std::size_t> region_of_;
-  std::vector<std::uint32_t> owned_pos_;
-  std::vector<std::vector<std::size_t>> members_;
+  std::vector<std::uint32_t> first_;  ///< region_count() + 1 offsets
+  std::vector<std::uint32_t> node_at_;
+  std::vector<std::uint32_t> position_of_;
+  std::vector<std::size_t> adjacency_first_;  ///< node_count() + 1 offsets
+  std::vector<std::uint32_t> adjacency_;
   std::vector<std::vector<std::size_t>> deps_;
   std::size_t dep_edges_ = 0;
 };

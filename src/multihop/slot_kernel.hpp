@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "multihop/topology.hpp"
 #include "parallel/replication.hpp"
 #include "phy/parameters.hpp"
 #include "util/rng.hpp"
@@ -80,34 +79,37 @@ inline bool on_air_success(int outcome) noexcept {
 /// the caller layers kOutcomeChannelLoss with draw #2 where it owns the
 /// node). `rng` must be the (i, slot) stream positioned at draw #1.
 /// is_tx(j)/is_active(j) report node j's transmit/active state for this
-/// slot; `scratch` is caller-owned receiver scratch.
-template <class IsTx, class IsActive>
-inline int classify_transmitter(const Topology& topology, std::size_t i,
-                                util::Rng& rng, IsTx&& is_tx,
-                                IsActive&& is_active,
-                                std::vector<std::size_t>& scratch) {
-  const std::vector<std::size_t>& nb = topology.neighbors(i);
+/// slot; `scratch` is caller-owned receiver scratch. `Graph` is anything
+/// with neighbors(i) in ascending node-id order: the Topology (node ids,
+/// the slot loop) or the RegionPartition's CSR (positions, the PDES
+/// kernel) — the receiver pick indexes that order, so both labelings
+/// pick the same node.
+template <class Graph, class Index, class IsTx, class IsActive>
+inline int classify_transmitter(const Graph& graph, Index i, util::Rng& rng,
+                                IsTx&& is_tx, IsActive&& is_active,
+                                std::vector<Index>& scratch) {
+  decltype(auto) nb = graph.neighbors(i);
   // Crashed neighbors cannot receive.
   scratch.clear();
-  for (std::size_t j : nb) {
+  for (Index j : nb) {
     if (is_active(j)) scratch.push_back(j);
   }
   if (scratch.empty()) return kOutcomeIsolated;
-  const std::size_t r = scratch[rng.uniform_below(scratch.size())];
+  const Index r = scratch[rng.uniform_below(scratch.size())];
 
   // In a unit-disk graph `j transmits in range of i` is exactly
   // `j ∈ neighbors(i) ∧ is_tx(j)`, so interference tests walk neighbor
   // lists — O(deg) per test.
   bool sender_contended = false;
   bool receiver_jammed = is_tx(r);  // receiver busy transmitting
-  for (std::size_t j : nb) {
+  for (Index j : nb) {
     if (is_tx(j)) {
       sender_contended = true;
       break;  // sender-side contention dominates the classification
     }
   }
   if (!sender_contended && !receiver_jammed) {
-    for (std::size_t j : topology.neighbors(r)) {
+    for (Index j : graph.neighbors(r)) {
       if (j == i) continue;
       if (is_tx(j)) {
         receiver_jammed = true;
@@ -123,16 +125,16 @@ inline int classify_transmitter(const Topology& topology, std::size_t i,
 /// Local channel time node i accrues this slot: σ if no transmitter in
 /// range (incl. self), T_s if some in-range transmission succeeded on
 /// air, else T_c. success_of(j) must hold on_air_success of *transmitting*
-/// neighbor j's outcome.
-template <class IsTx, class SuccessOf>
-inline double local_slot_time_us(const Topology& topology, std::size_t i,
+/// neighbor j's outcome. `Graph` as for classify_transmitter.
+template <class Graph, class Index, class IsTx, class SuccessOf>
+inline double local_slot_time_us(const Graph& graph, Index i,
                                  const phy::SlotTimes& times, bool self_tx,
                                  bool self_success, IsTx&& is_tx,
                                  SuccessOf&& success_of) {
   bool any_tx = self_tx;
   bool any_success = self_tx && self_success;
   if (!any_success) {
-    for (std::size_t j : topology.neighbors(i)) {
+    for (Index j : graph.neighbors(i)) {
       if (is_tx(j)) {
         any_tx = true;
         if (success_of(j)) {

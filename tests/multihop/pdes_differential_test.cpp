@@ -289,6 +289,72 @@ TEST(PdesDifferential, AdaptiveTftTrajectoryKernelInvariant) {
   EXPECT_EQ(a.stable_from, b.stable_from);
 }
 
+TEST(PdesDifferential, CrossRegionEventsOnWindowEdges) {
+  // A node whose every neighbor belongs to another region crashes and
+  // rejoins on the first and last slot of a window, and so does one of
+  // those neighbors. Dependents learn its state only from the published
+  // ring's active bit, and only its owner applies its events, so this
+  // pins both against the oracle window for window.
+  const double kRange = 250.0;
+  const Vec2 x_pos{740.0, 100.0};  // tile column 0, next to column 1
+  std::vector<Vec2> pos{{0.0, 0.0}, x_pos, {800.0, 100.0}, {900.0, 150.0},
+                        {850.0, 0.0}};
+  util::Rng rng(404);
+  while (pos.size() < 45) {
+    const Vec2 p{rng.uniform_real(0.0, 1500.0), rng.uniform_real(0.0, 1500.0)};
+    // Keep x's column-0 surroundings empty so its neighbors all sit in
+    // column 1.
+    if (p.x < 750.0 && distance_sq(p, x_pos) <= 1.1 * kRange * kRange) {
+      continue;
+    }
+    pos.push_back(p);
+  }
+  const Topology topo(pos, kRange);
+  const std::size_t x = 1;
+  const std::size_t y = topo.neighbors(x).front();
+  const RegionPartition tiles(topo, PdesOptions{});
+  ASSERT_GE(topo.degree(x), 3u);
+  for (std::size_t j : topo.neighbors(x)) {
+    ASSERT_NE(tiles.region_of(j), tiles.region_of(x));
+  }
+
+  const std::uint64_t kWindow = 200;
+  MultihopConfig config;
+  config.seed = 606;
+  config.faults.events = {
+      {0, y, fault::FaultKind::kCrash},    // first slot of window 0
+      {199, y, fault::FaultKind::kJoin},   // last slot of window 0
+      {200, x, fault::FaultKind::kCrash},  // first slot of window 1
+      {399, x, fault::FaultKind::kJoin},   // last slot of window 1
+      {400, x, fault::FaultKind::kCrash},  // first slot of window 2
+      {599, x, fault::FaultKind::kJoin},   // last slot of window 2
+      {599, y, fault::FaultKind::kCrash},
+  };
+  const std::vector<int> profile(pos.size(), 8);
+
+  for (const bool per_node : {false, true}) {
+    for (const std::size_t jobs : {1u, 2u, 4u}) {
+      MultihopConfig pdes_config = config;
+      pdes_config.kernel = MultihopKernel::kPdes;
+      pdes_config.pdes.jobs = jobs;
+      pdes_config.pdes.region_per_node = per_node;
+      MultihopSimulator oracle(config, topo, profile);
+      MultihopSimulator pdes(pdes_config, topo, profile);
+      for (int w = 0; w < 4; ++w) {
+        const std::string label = std::string(per_node ? "per-node" : "tiles") +
+                                  " jobs=" + std::to_string(jobs) +
+                                  " window " + std::to_string(w);
+        const MultihopResult a = oracle.run_slots(kWindow);
+        const MultihopResult b = pdes.run_slots(kWindow);
+        expect_identical(b, a, label);
+        expect_conservative(pdes.last_pdes_stats());
+        EXPECT_EQ(pdes.node_active(x), oracle.node_active(x)) << label;
+        EXPECT_EQ(pdes.node_active(y), oracle.node_active(y)) << label;
+      }
+    }
+  }
+}
+
 TEST(PdesDifferential, JobsZeroUsesDefaultAndClamps) {
   // jobs = 0 resolves to the host default, clamped to the region count;
   // either way the result stays pinned to the oracle.

@@ -2,16 +2,21 @@
 // (docs/PDES.md): the partition must be a pure function of positions,
 // its dependency graph must cover every cross-region pair within the
 // 3·range interference lookahead (checked against the Θ(n²) oracle
-// covers_dependencies), and the degenerate partitions must keep the
-// same guarantee.
+// covers_dependencies), the degenerate partitions must keep the same
+// guarantee, and the region-major layout (permutation, contiguous
+// per-region position ranges, CSR adjacency in position space) must
+// mirror the topology exactly and follow update_topology.
 #include "multihop/pdes.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "multihop/multihop_simulator.hpp"
 #include "multihop/topology.hpp"
 #include "util/rng.hpp"
 
@@ -33,19 +38,41 @@ void expect_well_formed(const RegionPartition& part, const Topology& topo) {
   ASSERT_EQ(part.node_count(), n);
   EXPECT_DOUBLE_EQ(part.lookahead_m(), 3.0 * topo.range_m());
 
-  // members/region_of/owned_pos are mutually consistent; members ascend.
-  std::size_t covered = 0;
-  for (std::size_t r = 0; r < part.region_count(); ++r) {
-    const std::vector<std::size_t>& m = part.members(r);
-    EXPECT_FALSE(m.empty()) << "empty region " << r;
-    EXPECT_TRUE(std::is_sorted(m.begin(), m.end()));
-    for (std::size_t k = 0; k < m.size(); ++k) {
-      EXPECT_EQ(part.region_of(m[k]), r);
-      EXPECT_EQ(part.owned_pos(m[k]), k);
-    }
-    covered += m.size();
+  // Region-major layout: the permutation covers every node exactly once,
+  // and region r owns the contiguous positions [first(r), last(r)), with
+  // node ids ascending inside the range.
+  std::vector<int> seen(n, 0);
+  for (std::uint32_t p = 0; p < n; ++p) {
+    ASSERT_LT(part.node_at(p), n);
+    ++seen[part.node_at(p)];
+    EXPECT_EQ(part.position_of(part.node_at(p)), p);
   }
-  EXPECT_EQ(covered, n);
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+            static_cast<std::ptrdiff_t>(n));
+  if (n > 0) {
+    EXPECT_EQ(part.first(0), 0u);
+    EXPECT_EQ(part.last(part.region_count() - 1), n);
+  }
+  for (std::size_t r = 0; r < part.region_count(); ++r) {
+    EXPECT_LT(part.first(r), part.last(r)) << "empty region " << r;
+    if (r + 1 < part.region_count()) {
+      EXPECT_EQ(part.last(r), part.first(r + 1));
+    }
+    for (std::uint32_t p = part.first(r); p < part.last(r); ++p) {
+      EXPECT_EQ(part.region_of(part.node_at(p)), r);
+      if (p > part.first(r)) {
+        EXPECT_LT(part.node_at(p - 1), part.node_at(p));
+      }
+    }
+  }
+
+  // CSR adjacency maps back to the topology's lists, in the same order
+  // (the receiver pick indexes that order).
+  for (std::uint32_t p = 0; p < n; ++p) {
+    std::vector<std::size_t> back;
+    for (std::uint32_t q : part.neighbors(p)) back.push_back(part.node_at(q));
+    EXPECT_EQ(back, topo.neighbors(part.node_at(p))) << "position " << p;
+  }
 
   // deps: sorted, self-free, symmetric; edge count matches.
   std::size_t edges = 0;
@@ -140,8 +167,11 @@ TEST(RegionPartition, PureFunctionOfPositions) {
     EXPECT_EQ(a.region_of(i), b.region_of(i));
   }
   for (std::size_t r = 0; r < a.region_count(); ++r) {
-    EXPECT_EQ(a.members(r), b.members(r));
+    EXPECT_EQ(a.first(r), b.first(r));
     EXPECT_EQ(a.deps(r), b.deps(r));
+  }
+  for (std::uint32_t p = 0; p < topo.node_count(); ++p) {
+    EXPECT_EQ(a.node_at(p), b.node_at(p));
   }
 }
 
@@ -155,9 +185,51 @@ TEST(RegionPartition, EmptyAndSingleNodeBoundaries) {
   EXPECT_EQ(part.node_count(), 1u);
   EXPECT_EQ(part.region_count(), 1u);
   EXPECT_EQ(part.region_of(0), 0u);
+  EXPECT_EQ(part.node_at(0), 0u);
+  EXPECT_TRUE(part.neighbors(0).empty());
   EXPECT_TRUE(part.deps(0).empty());
   EXPECT_EQ(part.dep_edge_count(), 0u);
   EXPECT_TRUE(part.covers_dependencies(topo));
+}
+
+TEST(RegionPartition, LayoutRebuiltAfterUpdateTopology) {
+  // update_topology must drop the cached partition: the moved layout's
+  // regions, dependency edges and CSR lists all differ, and a stale CSR
+  // would break oracle equality on the second window.
+  util::Rng rng(21);
+  const std::size_t n = 60;
+  const Topology before = random_topology(rng, n, 1500.0);
+  const Topology after = random_topology(rng, n, 2400.0);
+  const RegionPartition fresh(after, PdesOptions{});
+  ASSERT_NE(RegionPartition(before, PdesOptions{}).region_count(),
+            fresh.region_count());
+
+  const std::vector<int> profile(n, 16);
+  MultihopConfig config;
+  config.seed = 5;
+  MultihopConfig pdes_config = config;
+  pdes_config.kernel = MultihopKernel::kPdes;
+  pdes_config.pdes.jobs = 2;
+  MultihopSimulator oracle(config, before, profile);
+  MultihopSimulator pdes(pdes_config, before, profile);
+  oracle.run_slots(200);
+  pdes.run_slots(200);
+  oracle.update_topology(after);
+  pdes.update_topology(after);
+  const MultihopResult a = oracle.run_slots(300);
+  const MultihopResult b = pdes.run_slots(300);
+
+  EXPECT_EQ(pdes.last_pdes_stats().regions, fresh.region_count());
+  EXPECT_EQ(pdes.last_pdes_stats().dep_edges, fresh.dep_edge_count());
+  EXPECT_EQ(pdes.last_pdes_stats().lookahead_violations, 0u);
+  ASSERT_EQ(a.node.size(), b.node.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(a.node[i].attempts, b.node[i].attempts) << "node " << i;
+    EXPECT_EQ(a.node[i].successes, b.node[i].successes) << "node " << i;
+    EXPECT_EQ(a.node[i].local_time_us, b.node[i].local_time_us)
+        << "node " << i;
+  }
+  EXPECT_EQ(a.global_payoff_rate, b.global_payoff_rate);
 }
 
 TEST(MultihopKernelNames, RoundTrip) {
