@@ -5,27 +5,16 @@
 #include <stdexcept>
 #include <string>
 
-#include "multihop/spatial_index.hpp"
-
 namespace smac::multihop {
 
 namespace {
 
-// One mobility epoch: advance the waypoint model and refresh the
-// simulator's topology through a persistent SpatialIndex — full grid
-// build on the first epoch, incremental (re-bucket crossers, re-scan
-// movers) afterwards. Produces the same Topology as rebuilding from
-// scratch each stage; the `ctest -L topology` property tests pin that.
+// One mobility epoch: advance the waypoint model and hand the simulator
+// a topology rebuilt from the new positions.
 void advance_and_refresh(MultihopSimulator& sim,
-                         RandomWaypointModel& mobility, double dt_s,
-                         std::optional<SpatialIndex>& index) {
+                         RandomWaypointModel& mobility, double dt_s) {
   mobility.advance(dt_s);
-  if (!index) {
-    index.emplace(mobility.positions(), sim.config().range_m);
-  } else {
-    index->update_positions(mobility.positions());
-  }
-  sim.update_topology(index->topology());
+  sim.update_topology(Topology(mobility.positions(), sim.config().range_m));
 }
 
 void validate_common(const MultihopSimulator& sim,
@@ -98,7 +87,6 @@ MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
   const std::size_t n = sim.node_count();
 
   MultihopTftResult result;
-  std::optional<SpatialIndex> topology_index;
   std::vector<int> profile(n);
   for (std::size_t i = 0; i < n; ++i) profile[i] = sim.cw(i);
   // observed[i][j]: node i's current belief of node j's window (loss
@@ -131,8 +119,7 @@ MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
 
     // Mobility epoch: nodes move, the observation graph changes.
     if (mobility && config.mobility_dt_s > 0.0) {
-      advance_and_refresh(sim, *mobility, config.mobility_dt_s,
-                          topology_index);
+      advance_and_refresh(sim, *mobility, config.mobility_dt_s);
     }
 
     // Graph-local TFT on the (possibly new) topology: match the smallest
@@ -207,7 +194,6 @@ MultihopTftResult play_multihop_enforced(
   };
 
   MultihopTftResult result;
-  std::optional<SpatialIndex> topology_index;
   std::vector<int> profile(n);
   std::vector<int> seed(n);  ///< entry windows — the local agreements
   for (std::size_t i = 0; i < n; ++i) profile[i] = seed[i] = sim.cw(i);
@@ -277,8 +263,7 @@ MultihopTftResult play_multihop_enforced(
     result.stages.push_back(std::move(stage));
 
     if (mobility && config.mobility_dt_s > 0.0) {
-      advance_and_refresh(sim, *mobility, config.mobility_dt_s,
-                          topology_index);
+      advance_and_refresh(sim, *mobility, config.mobility_dt_s);
     }
 
     if (punished_stage) {

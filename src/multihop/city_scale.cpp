@@ -114,6 +114,8 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
   }
   NeighborhoodPricing out;
   out.payoff.assign(index.node_count(), 0.0);
+  if (index.node_count() == 0) return out;
+  const NeighborGraph& graph = index.topology().graph();
 
   // One class request per active node. StageGame merges exact repeats
   // into one ticket, and the SolverService's drain groups identical
@@ -132,9 +134,7 @@ NeighborhoodPricing price_neighborhoods(const SpatialIndex& index,
     if (!index.active(i)) continue;
     local.clear();
     local.push_back(profile[i]);
-    for (const std::size_t j : index.neighbors(i)) {
-      local.push_back(profile[j]);
-    }
+    for (const std::size_t j : graph.neighbors(i)) local.push_back(profile[j]);
     // Isolated node: the same 2-player floor as local_efficient_cw (a
     // 1-player "game" is degenerate; see local_game.hpp).
     if (local.size() == 1) local.push_back(profile[i]);
@@ -198,9 +198,7 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
   result.nodes = config.nodes;
   result.arena_m = arena;
 
-  const auto t_build = Clock::now();
   SpatialIndex index(mobility.positions(), config.range_m);
-  result.build_ms = ms_since(t_build);
 
   if (config.time_oracle) {
     const auto t_oracle = Clock::now();
@@ -245,12 +243,17 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
     seen_crashes = injector.crash_events();
     seen_joins = injector.join_events();
     st.online = index.active_count();
-    st.edges = index.edge_count();
+
+    // The stage's one graph build, over the moved and churned layout:
+    // stage 0's is the first full build, later ones count as update time.
+    const auto t_graph = Clock::now();
+    const Topology& topo = index.topology();
+    (k == 0 ? result.build_ms : result.update_ms) += ms_since(t_graph);
+    st.edges = topo.edge_count();
 
     // Local agreements and graph-TFT on the active subgraph (crashed
-    // nodes are isolated in the materialized topology: they keep their
-    // seed and price nothing).
-    const Topology topo = index.topology();
+    // nodes are isolated in the topology: they keep their seed and price
+    // nothing).
     const std::vector<int> seeds = local_efficient_cw(topo, game);
     const auto conv = tft_min_convergence(topo, seeds);
     const std::vector<int>& stable = conv.trajectory.back();
@@ -278,8 +281,7 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
     double min_frac = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < config.nodes; ++i) {
       if (!index.active(i)) continue;
-      const int n_local =
-          std::max(2, static_cast<int>(index.degree(i)) + 1);
+      const int n_local = std::max(2, static_cast<int>(topo.degree(i)) + 1);
       const double u_best = game.homogeneous_stage_utility(seeds[i], n_local);
       if (!(u_best > 0.0)) continue;
       const double frac = priced.payoff[i] / u_best;

@@ -1,8 +1,8 @@
 // Metropolitan-scale multihop pipeline (docs/CITY_SCALE.md).
 //
-// Composes the pieces this tier is built from: a SpatialIndex kept
-// incrementally current under random-waypoint mobility and FaultPlan
-// churn, local-game seeding + graph-TFT convergence per stage, and
+// Composes the pieces this tier is built from: a SpatialIndex that
+// rebuilds the unit-disk graph once per stage under random-waypoint
+// mobility and FaultPlan churn, local-game seeding + graph-TFT convergence per stage, and
 // class-deduplicated pricing of every node's closed-neighborhood local
 // game through StageGame::try_class_utilities_batch — so a 10^4-node
 // stage solves only its distinct (neighborhood-size, window-mix, PER)
@@ -13,11 +13,12 @@
 //
 // Determinism: every field of CityScaleResult except the *_ms wall-clock
 // timings is a pure function of CityScaleConfig — independent of
-// solver_jobs (the SolverService pool-chunking contract) and of spatial-
-// index bucket insertion order. bench/city_scale.cpp keeps the JSON it
-// emits byte-identical at any --jobs by writing timings to a separate
-// artifact; tests/parallel/city_scale_invariance_test.cpp pins the
-// invariance.
+// solver_jobs (the SolverService pool-chunking contract). bench/
+// city_scale.cpp keeps the JSON it emits byte-identical at any --jobs by
+// writing timings to a separate artifact;
+// tests/parallel/city_scale_invariance_test.cpp pins the invariance and
+// that relabelling the nodes relabels the graph, seeds and TFT
+// trajectories and changes nothing else.
 #pragma once
 
 #include <cstddef>
@@ -106,8 +107,9 @@ struct CityScaleResult {
   analytical::SolveCacheStats cache;
   // Wall-clock timings — machine-dependent, excluded from the
   // byte-identical contract.
-  double build_ms = 0.0;        ///< initial SpatialIndex full build
-  double update_ms = 0.0;       ///< total incremental updates + churn
+  double build_ms = 0.0;        ///< first full graph build (stage 0)
+  /// Later stages: position adoption + churn + the stage's graph rebuild.
+  double update_ms = 0.0;
   double solve_ms = 0.0;        ///< total class-dedup pricing
   double oracle_build_ms = -1.0;  ///< Θ(n²) build, -1 when not timed
   double sim_ms = 0.0;            ///< slot-sim leg, configured kernel

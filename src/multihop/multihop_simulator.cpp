@@ -184,8 +184,9 @@ MultihopResult MultihopSimulator::run_slots_slot_loop(std::uint64_t slots) {
     // success under an enabled chain) is the bursty-corruption trial.
     for (std::size_t i : transmitters) {
       util::Rng rng = detail::slot_rng(draw_base_[i], total_slots_);
-      int out = detail::classify_transmitter(topology_, i, rng, tx_of,
-                                             active_of, receiver_scratch_);
+      int out = detail::classify_transmitter(topology_.graph(), i, rng,
+                                             tx_of, active_of,
+                                             receiver_scratch_);
       if (out == detail::kOutcomeSuccess && channel_on && per_eff > 0.0 &&
           rng.bernoulli(per_eff)) {
         out = detail::kOutcomeChannelLoss;
@@ -199,7 +200,7 @@ MultihopResult MultihopSimulator::run_slots_slot_loop(std::uint64_t slots) {
       if (active_[i] == 0) continue;
       const bool self_tx = is_tx[i] != 0;
       tally[i].local_time_us += detail::local_slot_time_us(
-          topology_, i, times_, self_tx,
+          topology_.graph(), i, times_, self_tx,
           self_tx && detail::on_air_success(outcome[i]), tx_of,
           [&](std::size_t j) { return detail::on_air_success(outcome[j]); });
     }

@@ -46,10 +46,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -69,111 +68,56 @@ void PdesOptions::validate() const {
   }
 }
 
-namespace {
-
-/// Packs integer grid coordinates into an unordered_map key.
-std::uint64_t cell_key(std::int64_t gx, std::int64_t gy) noexcept {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(gx)) << 32) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(gy));
-}
-
-}  // namespace
-
 RegionPartition::RegionPartition(const Topology& topology,
                                  const PdesOptions& options) {
   options.validate();
   const std::size_t n = topology.node_count();
   const std::vector<Vec2>& pos = topology.positions();
-  if (n > std::numeric_limits<std::uint32_t>::max()) {
-    throw std::length_error("RegionPartition: more than 2^32 - 1 nodes");
-  }
   lookahead_m_ = 3.0 * topology.range_m();
-  region_of_.resize(n);
-  first_.assign(1, 0);
-  if (n == 0) return;
 
+  // Region-major layout: node_at_ lists the nodes region by region, each
+  // region's members ascending by node id.
   const double edge = options.region_edge_factor * topology.range_m();
-  if (options.region_per_node) {
-    for (std::size_t i = 0; i < n; ++i) region_of_[i] = i;
-  } else if (options.single_region || !(edge > 0.0) ||
-             !std::isfinite(edge)) {
-    // Tiles degenerate to one region when the range (hence the edge)
-    // is zero: nodes then have no interference coupling anyway.
-    std::fill(region_of_.begin(), region_of_.end(), 0);
+  if (options.region_per_node || options.single_region || !(edge > 0.0) ||
+      !std::isfinite(edge)) {
+    // Degenerate partitions keep node order: one region per node, or
+    // everything in one LP (also the fallback when the tile edge
+    // underflows to 0 or overflows).
+    node_at_.resize(n);
+    std::iota(node_at_.begin(), node_at_.end(), std::uint32_t{0});
+    if (options.region_per_node) {
+      region_of_ = node_at_;
+      first_.resize(n + 1);
+      std::iota(first_.begin(), first_.end(), std::uint32_t{0});
+    } else {
+      region_of_.assign(n, 0);
+      first_ = {0, static_cast<std::uint32_t>(n)};
+    }
   } else {
-    // Tile partition. Region ids are assigned to occupied tiles in
-    // (row, column) order, so the labeling is a pure function of the
-    // position multiset — node order never enters.
-    double min_x = pos[0].x;
-    double min_y = pos[0].y;
+    // Tile partition: the occupied cells of edge `edge` anchored at the
+    // bounding box's corner, numbered in row-major order, so the labeling
+    // is a pure function of the position multiset.
+    Vec2 origin = pos[0];
     for (const Vec2& p : pos) {
-      min_x = std::min(min_x, p.x);
-      min_y = std::min(min_y, p.y);
+      origin = {std::min(origin.x, p.x), std::min(origin.y, p.y)};
     }
-    std::vector<std::pair<std::int64_t, std::int64_t>> cell(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      cell[i] = {static_cast<std::int64_t>(std::floor((pos[i].y - min_y) / edge)),
-                 static_cast<std::int64_t>(std::floor((pos[i].x - min_x) / edge))};
-    }
-    std::vector<std::pair<std::int64_t, std::int64_t>> occupied = cell;
-    std::sort(occupied.begin(), occupied.end());
-    occupied.erase(std::unique(occupied.begin(), occupied.end()),
-                   occupied.end());
-    for (std::size_t i = 0; i < n; ++i) {
-      region_of_[i] = static_cast<std::size_t>(
-          std::lower_bound(occupied.begin(), occupied.end(), cell[i]) -
-          occupied.begin());
-    }
+    CellGrid tiles = sort_into_cells(pos, edge, origin);
+    node_at_ = std::move(tiles.order);
+    first_ = std::move(tiles.first);
+    region_of_ = std::move(tiles.cell_of);
   }
-
-  std::size_t regions = 0;
-  for (std::size_t r : region_of_) regions = std::max(regions, r + 1);
-
-  // Region-major layout: a counting sort by region (stable, so members
-  // stay ascending by node id), then CSR adjacency relabeled to positions
-  // in the topology's list order.
-  first_.assign(regions + 1, 0);
-  for (std::size_t r : region_of_) ++first_[r + 1];
-  for (std::size_t r = 0; r < regions; ++r) first_[r + 1] += first_[r];
-  node_at_.resize(n);
+  const std::size_t regions = first_.size() - 1;
   position_of_.resize(n);
-  {
-    std::vector<std::uint32_t> fill(first_.begin(), first_.end() - 1);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t p = fill[region_of_[i]]++;
-      node_at_[p] = static_cast<std::uint32_t>(i);
-      position_of_[i] = p;
-    }
-  }
-  adjacency_first_.resize(n + 1);
-  adjacency_first_[0] = 0;
-  for (std::uint32_t p = 0; p < n; ++p) {
-    adjacency_first_[p + 1] =
-        adjacency_first_[p] + topology.degree(node_at_[p]);
-  }
-  adjacency_.resize(adjacency_first_[n]);
-  for (std::uint32_t p = 0; p < n; ++p) {
-    std::uint32_t* out = adjacency_.data() + adjacency_first_[p];
-    for (std::size_t j : topology.neighbors(node_at_[p])) {
-      *out++ = position_of_[j];
-    }
-  }
+  for (std::uint32_t p = 0; p < n; ++p) position_of_[node_at_[p]] = p;
+  graph_ = topology.graph().relabeled(node_at_, position_of_);
 
   // Dependencies: regions owning nodes within lookahead_m_ of each other,
-  // found through a coarse grid of cell edge lookahead_m_ (3x3 stencil +
-  // exact distance check). Correct for ANY partition shape — tile
-  // adjacency is never assumed, so the degenerate partitions get the
-  // same guarantee.
+  // found through cells of edge lookahead_m_ (3x3 stencil + exact
+  // distance check). Correct for ANY partition shape — tile adjacency is
+  // never assumed, so the degenerate partitions get the same guarantee.
   deps_.resize(regions);
-  if (lookahead_m_ > 0.0 && regions > 1) {
-    std::unordered_map<std::uint64_t, std::vector<std::size_t>> grid;
-    grid.reserve(n);
-    std::vector<std::pair<std::int64_t, std::int64_t>> coarse(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      coarse[i] = {static_cast<std::int64_t>(std::floor(pos[i].x / lookahead_m_)),
-                   static_cast<std::int64_t>(std::floor(pos[i].y / lookahead_m_))};
-      grid[cell_key(coarse[i].first, coarse[i].second)].push_back(i);
-    }
+  if (regions > 1) {
+    const CellGrid grid = sort_into_cells(pos, lookahead_m_);
     // Region by region over the position order: once q is known to be a
     // dependency of r, q's nodes need no further distance checks for r.
     const double reach_sq = lookahead_m_ * lookahead_m_;
@@ -181,21 +125,18 @@ RegionPartition::RegionPartition(const Topology& topology,
     for (std::size_t r = 0; r < regions; ++r) {
       for (std::uint32_t p = first_[r]; p < first_[r + 1]; ++p) {
         const std::size_t i = node_at_[p];
-        for (std::int64_t dx = -1; dx <= 1; ++dx) {
-          for (std::int64_t dy = -1; dy <= 1; ++dy) {
-            auto it = grid.find(
-                cell_key(coarse[i].first + dx, coarse[i].second + dy));
-            if (it == grid.end()) continue;
-            for (std::size_t j : it->second) {
-              const std::size_t q = region_of_[j];
-              if (q == r || dep_of[q] == r) continue;
-              if (distance_sq(pos[i], pos[j]) <= reach_sq) {
-                dep_of[q] = r;
-                deps_[r].push_back(q);
+        grid.for_each_stencil_run(
+            grid.cell_of[i], [&](std::uint32_t a, std::uint32_t b) {
+              for (std::uint32_t k = a; k < b; ++k) {
+                const std::size_t j = grid.order[k];
+                const std::size_t q = region_of_[j];
+                if (q == r || dep_of[q] == r) continue;
+                if (distance_sq(pos[i], pos[j]) <= reach_sq) {
+                  dep_of[q] = r;
+                  deps_[r].push_back(q);
+                }
               }
-            }
-          }
-        }
+            });
       }
       std::sort(deps_[r].begin(), deps_[r].end());
       dep_edges_ += deps_[r].size();

@@ -94,11 +94,12 @@ struct PdesRunStats {
 /// The partition also fixes the kernel's region-major memory layout:
 /// nodes are relabeled to *positions* so that every region owns one
 /// contiguous range [first(r), last(r)), members ascending by node id,
-/// and the unit-disk graph is stored as CSR adjacency over positions.
-/// Each CSR list keeps the topology's ascending-node-id order, so a
-/// receiver pick indexes the same neighbor under either labeling.
-/// Positions are std::uint32_t, which bounds the node count at 2³² − 1
-/// (the constructor throws std::length_error beyond it).
+/// and the unit-disk graph is the topology's NeighborGraph relabeled to
+/// positions. Each list keeps the topology's ascending-node-id order, so
+/// a receiver pick indexes the same neighbor under either labeling.
+/// Tiles and dependency cells both come from sort_into_cells
+/// (neighbor_graph.hpp), whose clamped cells keep far-flung but finite
+/// coordinates well defined.
 class RegionPartition {
  public:
   RegionPartition(const Topology& topology, const PdesOptions& options);
@@ -125,8 +126,7 @@ class RegionPartition {
   /// Neighbor positions of `position`, in ascending node-id order.
   /// Unchecked (the PDES hot path): position must be < node_count().
   std::span<const std::uint32_t> neighbors(std::uint32_t position) const {
-    return {adjacency_.data() + adjacency_first_[position],
-            adjacency_.data() + adjacency_first_[position + 1]};
+    return graph_.neighbors(position);
   }
   /// Dependency region ids, ascending, self excluded. A region may
   /// process slot s only when every dependency has published its
@@ -142,12 +142,11 @@ class RegionPartition {
 
  private:
   double lookahead_m_ = 0.0;
-  std::vector<std::size_t> region_of_;
+  std::vector<std::uint32_t> region_of_;
   std::vector<std::uint32_t> first_;  ///< region_count() + 1 offsets
   std::vector<std::uint32_t> node_at_;
   std::vector<std::uint32_t> position_of_;
-  std::vector<std::size_t> adjacency_first_;  ///< node_count() + 1 offsets
-  std::vector<std::uint32_t> adjacency_;
+  NeighborGraph graph_;  ///< over positions
   std::vector<std::vector<std::size_t>> deps_;
   std::size_t dep_edges_ = 0;
 };

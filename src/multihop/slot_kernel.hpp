@@ -80,10 +80,10 @@ inline bool on_air_success(int outcome) noexcept {
 /// node). `rng` must be the (i, slot) stream positioned at draw #1.
 /// is_tx(j)/is_active(j) report node j's transmit/active state for this
 /// slot; `scratch` is caller-owned receiver scratch. `Graph` is anything
-/// with neighbors(i) in ascending node-id order: the Topology (node ids,
-/// the slot loop) or the RegionPartition's CSR (positions, the PDES
-/// kernel) — the receiver pick indexes that order, so both labelings
-/// pick the same node.
+/// with neighbors(i) in ascending node-id order: the topology's
+/// NeighborGraph (node ids, the slot loop) or the RegionPartition
+/// (positions, the PDES kernel) — the receiver pick indexes that order,
+/// so both labelings pick the same node.
 template <class Graph, class Index, class IsTx, class IsActive>
 inline int classify_transmitter(const Graph& graph, Index i, util::Rng& rng,
                                 IsTx&& is_tx, IsActive&& is_active,

@@ -1,37 +1,37 @@
-// Uniform-grid spatial hash over the multi-hop plane: the metropolitan-
-// scale replacement for the O(n²) pair scan (docs/CITY_SCALE.md).
+// The city-scale owner of the unit-disk graph under mobility and churn
+// (docs/CITY_SCALE.md).
 //
-// Nodes are bucketed by cell = (⌊x/r⌋, ⌊y/r⌋) with the cell edge equal to
-// the communication range r, so every unit-disk neighbor of a node lives
-// in the 3×3 cell stencil around it. Complexity contract:
+// SpatialIndex keeps node positions and the active mask, and rebuilds its
+// Topology from scratch — once, lazily, on the first read after
+// update_positions / insert_node / remove_node changed anything. The
+// build is Topology's cell-grid construction (neighbor_graph.hpp): the
+// 3×3 stencil of cell edge r around each node, then one CSR transpose.
+// Complexity contract:
 //
-//   * full build           O(n + Σ_i |stencil_i|) expected — for the
-//     bounded-density layouts mobility produces, O(n + m) with m the
-//     edge count, against the pair scan's Θ(n²);
-//   * incremental update   only nodes whose position changed are
-//     re-scanned (9-cell stencil each) and only nodes that crossed a
-//     cell boundary are re-bucketed; unmoved neighbors are patched in
-//     place. A mobility step that moves q nodes costs
-//     O(q·(stencil + deg)) — independent of n for local motion;
-//   * churn                remove_node / insert_node are O(stencil + deg)
-//     — the fault::FaultPlan crash/join hooks at index level.
+//   * update_positions     O(n): adopts positions and counts UpdateStats;
+//                          no graph work
+//   * remove / insert      O(1): flips the active bit
+//   * first read after a change   one full build, O(n log n + m) at
+//                          bounded density (m = edge count), against the
+//                          pair scan's Θ(n²)
 //
-// Degenerate layouts stay correct (and degrade gracefully): all nodes in
-// one cell or a range wider than the arena collapse the stencil scan to
-// the pair scan's cost; an empty index is valid (node_count() == 0).
+// In a mobility step every node moves, so an incremental patch would
+// re-scan almost every node anyway; one rebuild per stage is the same
+// order of work with one code path.
 //
-// Determinism: neighbor lists are kept sorted ascending — the same order
-// the O(n²) oracle (build_topology_full) produces — so results are a pure
-// function of (positions, range, active set) and never of bucket
-// insertion order or hash iteration order. The `build_order` constructor
-// exists so tests can prove that (tests/multihop/spatial_index_test.cpp,
-// `ctest -L topology`).
+// Determinism: neighbour lists are ascending by node id — the same order
+// the Θ(n²) oracle (build_topology_full) produces — so the graph is a
+// pure function of (positions, range, active set); relabelling the nodes
+// relabels the graph and nothing else (`ctest -L topology`).
+//
+// The lazy rebuild mutates the index inside const reads, so concurrent
+// reads need a prior topology() call from one thread.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "multihop/geometry.hpp"
@@ -41,28 +41,22 @@ namespace smac::multihop {
 
 class SpatialIndex {
  public:
-  /// What the last update_positions / move_node call actually did.
+  /// What the last update_positions call changed. A cell here is the
+  /// absolute grid (⌊x/r⌋, ⌊y/r⌋) the unit-disk build sorts into.
   struct UpdateStats {
     std::size_t moved = 0;       ///< nodes whose position changed
-    std::size_t rebucketed = 0;  ///< moved nodes that crossed a cell edge
-    std::size_t rescanned = 0;   ///< active moved nodes (stencil re-scans)
+    std::size_t rebucketed = 0;  ///< active movers that changed cell
+    std::size_t rescanned = 0;   ///< active movers
   };
 
-  /// Full build over `positions` (all nodes active). Throws
-  /// std::invalid_argument on range <= 0 or a non-finite coordinate;
-  /// an empty position set is allowed.
+  /// All nodes active. Throws std::invalid_argument on range <= 0 or a
+  /// non-finite coordinate; an empty position set is allowed.
   SpatialIndex(std::vector<Vec2> positions, double range_m);
 
-  /// Full build with an explicit active mask (mask.size() == n; inactive
-  /// nodes hold a position but join no neighbor set) — the churn oracle.
+  /// With an explicit active mask (mask.size() == n; inactive nodes hold
+  /// a position but join no neighbour list) — the churn oracle.
   SpatialIndex(std::vector<Vec2> positions, double range_m,
                const std::vector<std::uint8_t>& active);
-
-  /// Full build bucketing nodes in `build_order` (a permutation of
-  /// 0..n−1). Neighbor sets are order-invariant by construction; this
-  /// constructor lets tests assert it.
-  SpatialIndex(std::vector<Vec2> positions, double range_m,
-               std::span<const std::size_t> build_order);
 
   std::size_t node_count() const noexcept { return positions_.size(); }
   double range_m() const noexcept { return range_m_; }
@@ -72,64 +66,43 @@ class SpatialIndex {
   bool active(std::size_t i) const { return active_.at(i) != 0; }
   std::size_t active_count() const noexcept { return active_count_; }
 
-  /// Unit-disk neighbors of i among *active* nodes, ascending. Empty for
-  /// an inactive node.
-  const std::vector<std::size_t>& neighbors(std::size_t i) const {
-    return neighbors_.at(i);
-  }
-  std::size_t degree(std::size_t i) const { return neighbors_.at(i).size(); }
+  /// Unit-disk neighbours of i among *active* nodes, ascending. Empty for
+  /// an inactive node; dangles after the next change, like topology().
+  /// Throws std::out_of_range for i >= node_count().
+  std::span<const std::uint32_t> neighbors(std::size_t i) const;
+  std::size_t degree(std::size_t i) const { return neighbors(i).size(); }
   /// Undirected edge count over the active subgraph.
-  std::size_t edge_count() const noexcept;
+  std::size_t edge_count() const;
 
-  /// Incremental mobility step: adopts `positions` (same node count),
-  /// re-bucketing only cell-boundary crossers and re-scanning only nodes
-  /// that moved (their unmoved neighbors are patched in place). The
-  /// result is identical to a full rebuild from the new positions —
-  /// pinned by the `ctest -L topology` property tests.
+  /// Mobility step: adopts `positions` (same node count) and records
+  /// UpdateStats against the previous positions.
   void update_positions(const std::vector<Vec2>& positions);
 
-  /// Single-node variant of update_positions.
-  void move_node(std::size_t i, Vec2 position);
-
-  /// Churn-out (FaultKind::kCrash): node i leaves every neighbor set and
-  /// its own empties. Keeps its position; no-op when already inactive.
+  /// Churn-out (FaultKind::kCrash): node i leaves every neighbour list
+  /// and its own empties. Keeps its position; no-op when inactive.
   void remove_node(std::size_t i);
 
   /// Churn-in (FaultKind::kJoin) at the node's current position; no-op
   /// when already active.
   void insert_node(std::size_t i);
 
-  /// Churn-in at a new position.
-  void insert_node(std::size_t i, Vec2 position);
-
-  /// Materializes the current neighbor structure as a Topology (copies
-  /// the adjacency; O(n + m)). Throws like Topology on node_count() == 0.
-  Topology topology() const;
-
-  /// Moves the adjacency out, leaving the index unusable — the grid-routed
-  /// Topology constructor's zero-copy exit.
-  std::vector<std::vector<std::size_t>> take_neighbors() &&;
+  /// The current graph, rebuilt here if anything changed since the last
+  /// read; the reference dangles after the next change. Throws like
+  /// Topology on node_count() == 0.
+  const Topology& topology() const;
 
   const UpdateStats& last_update() const noexcept { return last_update_; }
 
  private:
-  std::uint64_t cell_key(Vec2 p) const noexcept;
-  void bucket_add(std::uint64_t key, std::size_t i);
-  void bucket_remove(std::uint64_t key, std::size_t i);
-  /// Stencil scan: sorted active in-range nodes around i (excluding i).
-  std::vector<std::size_t> scan(std::size_t i) const;
-  void full_build(std::span<const std::size_t> build_order);
-  static void validate_positions(const std::vector<Vec2>& positions);
+  void validate() const;
+  void flip(std::size_t i, bool up);
 
   double range_m_ = 0.0;
   std::vector<Vec2> positions_;
   std::vector<std::uint8_t> active_;
   std::size_t active_count_ = 0;
-  std::vector<std::uint64_t> cell_of_;  ///< cell key per node (active only)
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
-  std::vector<std::vector<std::size_t>> neighbors_;
-  std::vector<std::uint8_t> moved_scratch_;
   UpdateStats last_update_;
+  mutable std::optional<Topology> topology_;  ///< empty = stale
 };
 
 }  // namespace smac::multihop

@@ -3,38 +3,43 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "multihop/geometry.hpp"
+#include "multihop/neighbor_graph.hpp"
 
 namespace smac::multihop {
 
 class Topology {
  public:
-  /// Builds the neighbor lists of the unit-disk graph through the
-  /// uniform-grid SpatialIndex — O(n + m) expected for bounded-density
-  /// layouts (m = edge count), against the old Θ(n²) pair scan, which
-  /// survives as build_topology_full (the test oracle). Requires finite
-  /// coordinates; throws std::invalid_argument otherwise. The complexity
-  /// contract lives in spatial_index.hpp and docs/CITY_SCALE.md.
-  Topology(const std::vector<Vec2>& positions, double range_m);
-
-  /// Adopts a prebuilt adjacency (each list ascending-sorted, symmetric;
-  /// trusted, not re-verified). Used by SpatialIndex::topology() and
-  /// build_topology_full.
+  /// Builds the unit-disk graph through the shared cell grid
+  /// (unit_disk_graph, neighbor_graph.hpp) — O(n log n + m) for
+  /// bounded-density layouts (m = edge count), against the Θ(n²) pair
+  /// scan, which survives as build_topology_full (the test oracle).
+  /// Nodes with active[i] == 0 keep their position but join no
+  /// neighbour list (an empty mask means all active). Throws
+  /// std::invalid_argument on range <= 0, no nodes, a non-finite
+  /// coordinate or a mask of the wrong size.
   Topology(std::vector<Vec2> positions, double range_m,
-           std::vector<std::vector<std::size_t>> neighbors);
+           std::span<const std::uint8_t> active = {});
 
-  std::size_t node_count() const noexcept { return neighbors_.size(); }
+  /// Adopts a prebuilt graph (each list ascending, symmetric; trusted,
+  /// not re-verified). Used by build_topology_full.
+  Topology(std::vector<Vec2> positions, double range_m, NeighborGraph graph);
+
+  std::size_t node_count() const noexcept { return positions_.size(); }
   double range_m() const noexcept { return range_m_; }
   const std::vector<Vec2>& positions() const noexcept { return positions_; }
+  const NeighborGraph& graph() const noexcept { return graph_; }
+  std::size_t edge_count() const noexcept { return graph_.edge_count(); }
 
-  /// Neighbor ids of i, ascending-sorted (a class invariant both build
-  /// paths uphold; are_neighbors binary-searches it).
-  const std::vector<std::size_t>& neighbors(std::size_t i) const {
-    return neighbors_.at(i);
-  }
-  std::size_t degree(std::size_t i) const { return neighbors_.at(i).size(); }
+  /// Neighbour ids of i, ascending (a class invariant both build paths
+  /// uphold; are_neighbors binary-searches it). Throws std::out_of_range
+  /// for i >= node_count(); graph().neighbors(i) is the unchecked form.
+  std::span<const std::uint32_t> neighbors(std::size_t i) const;
+  std::size_t degree(std::size_t i) const;
 
   bool are_neighbors(std::size_t a, std::size_t b) const;
 
@@ -51,7 +56,7 @@ class Topology {
  private:
   double range_m_;
   std::vector<Vec2> positions_;
-  std::vector<std::vector<std::size_t>> neighbors_;
+  NeighborGraph graph_;
 };
 
 /// The original Θ(n²) all-pairs scan, kept as the ground-truth oracle the

@@ -41,7 +41,7 @@ TEST(ClassCollapseTest, DistinctClassesAndHitRateStayPinned) {
     const game::StageGame game(phy::Parameters::paper(),
                                phy::AccessMode::kRtsCts);
 
-    const Topology topo = index.topology();
+    const Topology& topo = index.topology();
     const std::vector<int> seeds = local_efficient_cw(topo, game);
     const auto conv = tft_min_convergence(topo, seeds);
     const std::vector<int>& stable = conv.trajectory.back();
@@ -83,7 +83,7 @@ TEST(ClassCollapseTest, ClassPayoffMatchesPerNodePricingBitwise) {
   const game::StageGame game(phy::Parameters::paper(),
                              phy::AccessMode::kRtsCts);
 
-  const Topology topo = index.topology();
+  const Topology& topo = index.topology();
   const std::vector<int> seeds = local_efficient_cw(topo, game);
   const NeighborhoodPricing priced = price_neighborhoods(index, seeds, game);
 

@@ -71,7 +71,9 @@ void expect_well_formed(const RegionPartition& part, const Topology& topo) {
   for (std::uint32_t p = 0; p < n; ++p) {
     std::vector<std::size_t> back;
     for (std::uint32_t q : part.neighbors(p)) back.push_back(part.node_at(q));
-    EXPECT_EQ(back, topo.neighbors(part.node_at(p))) << "position " << p;
+    const auto want = topo.neighbors(part.node_at(p));
+    EXPECT_EQ(back, std::vector<std::size_t>(want.begin(), want.end()))
+        << "position " << p;
   }
 
   // deps: sorted, self-free, symmetric; edge count matches.
@@ -190,6 +192,62 @@ TEST(RegionPartition, EmptyAndSingleNodeBoundaries) {
   EXPECT_TRUE(part.deps(0).empty());
   EXPECT_EQ(part.dep_edge_count(), 0u);
   EXPECT_TRUE(part.covers_dependencies(topo));
+}
+
+TEST(RegionPartition, FarAwayCoordinatesStayWellDefined) {
+  // Finite coordinates whose tile and dependency cells lie far outside
+  // int32 (here ±1e300 at range 250): the shared grid clamps them onto
+  // boundary cells instead of casting an out-of-range double. A small
+  // chain near the origin gives the kernels some edges to work on.
+  std::vector<Vec2> pos{{-1e300, 0.0}, {0.0, 0.0}, {1e300, 0.0}};
+  for (int k = 1; k <= 6; ++k) pos.push_back({150.0 * k, 40.0 * (k % 2)});
+  const Topology topo(pos, 250.0);
+  EXPECT_EQ(topo.degree(0), 0u);
+  EXPECT_EQ(topo.degree(2), 0u);
+  EXPECT_GT(topo.edge_count(), 0u);
+
+  for (const double factor : {3.0, 1.0}) {
+    PdesOptions opt;
+    opt.region_edge_factor = factor;
+    const RegionPartition a(topo, opt);
+    const RegionPartition b(topo, opt);
+    expect_well_formed(a, topo);
+    ASSERT_EQ(a.region_count(), b.region_count());
+    EXPECT_GT(a.region_count(), 1u);
+    for (std::size_t i = 0; i < topo.node_count(); ++i) {
+      EXPECT_EQ(a.region_of(i), b.region_of(i));
+      EXPECT_EQ(a.position_of(i), b.position_of(i));
+    }
+    for (std::size_t r = 0; r < a.region_count(); ++r) {
+      EXPECT_EQ(a.deps(r), b.deps(r));
+    }
+
+    const std::vector<int> profile(pos.size(), 8);
+    MultihopConfig config;
+    config.seed = 17;
+    MultihopConfig pdes_config = config;
+    pdes_config.kernel = MultihopKernel::kPdes;
+    pdes_config.pdes = opt;
+    pdes_config.pdes.jobs = 2;
+    MultihopSimulator oracle(config, topo, profile);
+    MultihopSimulator pdes(pdes_config, topo, profile);
+    const MultihopResult want = oracle.run_slots(400);
+    const MultihopResult got = pdes.run_slots(400);
+    EXPECT_EQ(pdes.last_pdes_stats().regions, a.region_count());
+    EXPECT_EQ(pdes.last_pdes_stats().lookahead_violations, 0u);
+    ASSERT_EQ(want.node.size(), got.node.size());
+    for (std::size_t i = 0; i < want.node.size(); ++i) {
+      EXPECT_EQ(want.node[i].attempts, got.node[i].attempts) << "node " << i;
+      EXPECT_EQ(want.node[i].successes, got.node[i].successes)
+          << "node " << i;
+      EXPECT_EQ(want.node[i].hidden_losses, got.node[i].hidden_losses)
+          << "node " << i;
+      EXPECT_EQ(want.node[i].local_time_us, got.node[i].local_time_us)
+          << "node " << i;
+    }
+    EXPECT_EQ(want.global_payoff_rate, got.global_payoff_rate);
+    EXPECT_EQ(want.aggregate_p_hn, got.aggregate_p_hn);
+  }
 }
 
 TEST(RegionPartition, LayoutRebuiltAfterUpdateTopology) {
