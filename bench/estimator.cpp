@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "sim/adaptive_runtime.hpp"
 #include "sim/cw_estimator.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
   parallel::for_each_index(jobs, stab_rows.size(), [&](std::size_t k) {
     const double stage_s = stage_lengths[k / 2];
     const bool gtft = (k % 2) == 1;
-    sim::EstimatingRuntime runtime(
+    sim::AdaptiveRuntime runtime(
         sim::SimConfig{}, 5,
         [&](std::size_t, auto feed, auto) -> std::unique_ptr<game::Strategy> {
           if (gtft) {

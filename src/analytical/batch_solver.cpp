@@ -69,8 +69,8 @@ class ClassSolveMachine {
     best_.residual = std::numeric_limits<double>::infinity();
 
     // k = 1: the profile is homogeneous — the whole system is one scalar
-    // root problem, solved by the Brent/bisection ladder at machine
-    // precision regardless of the caller's iteration budget.
+    // root problem, solved by Brent's method at machine precision
+    // regardless of the caller's iteration budget.
     if (k_ == 1) {
       const TryTauResult tau = try_homogeneous_tau(
           static_cast<double>(inst_.classes.window[0]), n_, inst_.max_stage,

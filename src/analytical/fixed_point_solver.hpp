@@ -73,8 +73,9 @@ struct SolveDiagnostics {
   /// Rung that produced the returned state: "warm" (caller's initial_tau),
   /// "seeded" (homogeneous-mean start), "damped", "redamped", "restart",
   /// "polish" (continuation from the best iterate of the earlier rungs),
-  /// "bisection"/"brent"/"closed-form" (scalar k = 1 path), or "invalid"
-  /// (bad inputs).
+  /// "brent"/"closed-form" (scalar k = 1 path), "bisection"
+  /// (try_solve_network_full's scalar fallback for a homogeneous profile
+  /// its ladder left unconverged), or "invalid" (bad inputs).
   const char* method = "damped";
 };
 
@@ -147,9 +148,10 @@ TrySolveResult try_solve_network_full(const std::vector<int>& w,
                                       const SolverOptions& opts = {},
                                       double packet_error_rate = 0.0);
 
-/// Non-throwing homogeneous τ: Brent first, plain bisection as the
-/// fallback rung (the bracket [0, 1] always holds a sign change). Invalid
-/// inputs yield kFailed with τ = 0.
+/// Non-throwing homogeneous τ by Brent's method over [0, 1], which always
+/// holds a sign change for valid inputs (method "brent", or
+/// "closed-form" for n = 1 and the W = 1, m = 0 corner). Invalid inputs
+/// yield kFailed with τ = 0.
 TryTauResult try_homogeneous_tau(double w, int n, int max_stage,
                                  double packet_error_rate = 0.0);
 

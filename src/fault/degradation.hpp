@@ -17,6 +17,8 @@
 
 namespace smac::fault {
 
+class FaultInjector;
+
 /// One non-clean stage: what the solver reported and what the engine did.
 struct StageIncident {
   int stage = 0;
@@ -43,6 +45,11 @@ struct DegradationReport {
 
   /// True when every stage solved converged and no fault fired.
   bool clean() const noexcept;
+
+  /// Takes the horizon length and `injector`'s cumulative fault counters
+  /// (crashes, joins, lost/noisy observations, last fault stage) — how
+  /// every fault-aware engine closes its report after the last stage.
+  void record_injector(const FaultInjector& injector, int stages_played);
 
   /// Folds `other` into this report (counters add; last_fault_stage takes
   /// the max; incidents concatenate in call order).

@@ -1,5 +1,6 @@
 #include "fault/fault_plan.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -56,5 +57,17 @@ void FaultPlan::validate() const {
 }
 
 void SlotFaultPlan::validate() const { check_channel(channel); }
+
+void SlotFaultPlan::order_events(std::size_t node_count) {
+  for (const SlotEvent& e : events) {
+    if (e.node >= node_count) {
+      throw std::invalid_argument("SlotEvent node index >= node count");
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const SlotEvent& a, const SlotEvent& b) {
+                     return a.slot < b.slot;
+                   });
+}
 
 }  // namespace smac::fault

@@ -106,6 +106,12 @@ struct SlotFaultPlan {
   }
 
   void validate() const;
+
+  /// Prepares the scripted events for a simulator of `node_count` nodes:
+  /// throws std::invalid_argument when an event names a node >=
+  /// node_count, then stable-sorts the events by slot, so they apply in
+  /// (slot, declaration) order.
+  void order_events(std::size_t node_count);
 };
 
 }  // namespace smac::fault

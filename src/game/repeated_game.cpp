@@ -1,8 +1,8 @@
 #include "game/repeated_game.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
+
+#include "game/convergence.hpp"
 
 namespace smac::game {
 
@@ -15,10 +15,6 @@ RepeatedGameEngine::RepeatedGameEngine(
   for (const auto& s : strategies_) {
     if (!s) throw std::invalid_argument("RepeatedGameEngine: null strategy");
   }
-}
-
-RepeatedGameResult RepeatedGameEngine::play(int stages) {
-  return play(stages, nullptr);
 }
 
 void RepeatedGameEngine::set_observation_filter(
@@ -205,30 +201,10 @@ RepeatedGameResult RepeatedGameEngine::play(int stages,
 
   if (enforcing) result.enforcement = police->report();
 
-  if (injector) {
-    result.degradation.stages = stages;
-    result.degradation.crash_events = injector->crash_events();
-    result.degradation.join_events = injector->join_events();
-    result.degradation.lost_observations = injector->lost_observations();
-    result.degradation.noisy_observations = injector->noisy_observations();
-    result.degradation.last_fault_stage = injector->last_fault_stage();
-  }
-
-  // Convergence facts.
-  const StageRecord& last = result.history.back();
-  const bool homogeneous =
-      std::all_of(last.cw.begin(), last.cw.end(),
-                  [&](int w) { return w == last.cw.front(); });
-  if (homogeneous) result.converged_cw = last.cw.front();
-
-  result.stable_from = stages;
-  for (int k = stages; k-- > 0;) {
-    if (result.history[static_cast<std::size_t>(k)].cw == last.cw) {
-      result.stable_from = k;
-    } else {
-      break;
-    }
-  }
+  if (injector) result.degradation.record_injector(*injector, stages);
+  const ConvergenceFacts facts = convergence_facts(result.history);
+  result.converged_cw = facts.converged_cw;
+  result.stable_from = facts.stable_from;
   return result;
 }
 

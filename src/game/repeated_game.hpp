@@ -24,10 +24,8 @@ struct RepeatedGameResult {
   History history;                         ///< one record per stage
   std::vector<double> discounted_utility;  ///< Σ_k δ^k·U_i^s(W^k)
   std::vector<double> total_utility;       ///< undiscounted sum
-  /// Common window if the final stage is homogeneous, else nullopt.
+  /// Convergence facts of the trajectory (game/convergence.hpp).
   std::optional<int> converged_cw;
-  /// First stage index from which the profile never changes again;
-  /// equals the horizon when the profile kept moving.
   int stable_from = 0;
   /// What did not go cleanly (empty/clean for fault-free runs).
   fault::DegradationReport degradation;
@@ -45,11 +43,10 @@ class RepeatedGameEngine {
   std::size_t player_count() const noexcept { return strategies_.size(); }
 
   /// Runs `stages` >= 1 stages from scratch and returns the trajectory.
-  RepeatedGameResult play(int stages);
-
-  /// Fault-aware horizon. `injector` (node_count == player_count, stage 0
-  /// not yet begun) drives crashes/joins, bursty PER, and observation
-  /// faults; pass nullptr for the fault-free behavior of play(stages).
+  ///
+  /// Fault-aware when `injector` (node_count == player_count, stage 0
+  /// not yet begun) is given: it drives crashes/joins, bursty PER, and
+  /// observation faults; nullptr (the default) plays fault-free.
   ///
   /// Semantics under faults:
   ///  - A crashed player keeps its configured window but does not
@@ -64,7 +61,8 @@ class RepeatedGameEngine {
   ///    own observed history: opponents' windows pass through
   ///    FaultInjector::observe_cw with the player's previous belief as the
   ///    loss fallback.
-  RepeatedGameResult play(int stages, fault::FaultInjector* injector);
+  RepeatedGameResult play(int stages,
+                          fault::FaultInjector* injector = nullptr);
 
   /// Installs an observation filter between the (possibly faulted)
   /// observed histories and the strategies: every player decides on a

@@ -5,17 +5,11 @@
 #include <stdexcept>
 #include <string>
 
+#include "game/convergence.hpp"
+
 namespace smac::multihop {
 
 namespace {
-
-// One mobility epoch: advance the waypoint model and hand the simulator
-// a topology rebuilt from the new positions.
-void advance_and_refresh(MultihopSimulator& sim,
-                         RandomWaypointModel& mobility, double dt_s) {
-  mobility.advance(dt_s);
-  sim.update_topology(Topology(mobility.positions(), sim.config().range_m));
-}
 
 void validate_common(const MultihopSimulator& sim,
                      const RandomWaypointModel* mobility,
@@ -43,41 +37,50 @@ void validate_common(const MultihopSimulator& sim,
   }
 }
 
-void record_fault_counters(MultihopTftResult& result,
-                           const fault::FaultInjector* injector,
-                           int stages) {
-  if (!injector) return;
-  result.degradation.stages = stages;
-  result.degradation.crash_events = injector->crash_events();
-  result.degradation.join_events = injector->join_events();
-  result.degradation.lost_observations = injector->lost_observations();
-  result.degradation.noisy_observations = injector->noisy_observations();
-  result.degradation.last_fault_stage = injector->last_fault_stage();
-}
-
-void record_convergence_facts(MultihopTftResult& result) {
-  const std::vector<int>& last = result.stages.back().cw;
-  if (std::all_of(last.begin(), last.end(),
-                  [&](int w) { return w == last.front(); })) {
-    result.converged_cw = last.front();
-  }
-  result.stable_from = static_cast<int>(result.stages.size());
-  for (int k = static_cast<int>(result.stages.size()); k-- > 0;) {
-    if (result.stages[static_cast<std::size_t>(k)].cw == last) {
-      result.stable_from = k;
-    } else {
-      break;
+// One played stage, shared by both protocols: stage k's fault state
+// (crashes silence their nodes), the slot window with the current
+// profile, its record, and the mobility epoch that follows it — nodes
+// move, so the next stage's observation graph may differ.
+void play_stage(MultihopSimulator& sim, RandomWaypointModel* mobility,
+                const MultihopTftConfig& config,
+                fault::FaultInjector* injector, int k,
+                const std::vector<int>& profile, MultihopTftResult& result) {
+  const std::size_t n = sim.node_count();
+  if (injector) {
+    injector->begin_stage(k);
+    for (std::size_t i = 0; i < n; ++i) {
+      sim.set_node_active(i, injector->online(i));
     }
   }
+  const MultihopResult run = sim.run_slots(config.slots_per_stage);
+  MultihopStage stage;
+  stage.cw = profile;
+  stage.payoff.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    stage.payoff[i] = run.node[i].payoff_rate;
+  }
+  stage.global_payoff = run.global_payoff_rate;
+  stage.topology_connected = sim.topology().connected();
+  if (injector) stage.online = injector->online_mask();
+  result.stages.push_back(std::move(stage));
+
+  if (mobility && config.mobility_dt_s > 0.0) {
+    mobility->advance(config.mobility_dt_s);
+    sim.update_topology(
+        Topology(mobility->positions(), sim.config().range_m));
+  }
+}
+
+// Closes a run: fault counters and the convergence facts of its profiles.
+void finish_run(MultihopTftResult& result,
+                const fault::FaultInjector* injector, int stages) {
+  if (injector) result.degradation.record_injector(*injector, stages);
+  const game::ConvergenceFacts facts = game::convergence_facts(result.stages);
+  result.converged_cw = facts.converged_cw;
+  result.stable_from = facts.stable_from;
 }
 
 }  // namespace
-
-MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
-                                    RandomWaypointModel* mobility,
-                                    const MultihopTftConfig& config) {
-  return play_multihop_tft(sim, mobility, config, nullptr);
-}
 
 MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
                                     RandomWaypointModel* mobility,
@@ -98,29 +101,7 @@ MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
   }
 
   for (int k = 0; k < config.stages; ++k) {
-    if (injector) {
-      injector->begin_stage(k);
-      for (std::size_t i = 0; i < n; ++i) {
-        sim.set_node_active(i, injector->online(i));
-      }
-    }
-    // Run the stage with the current profile.
-    const MultihopResult run = sim.run_slots(config.slots_per_stage);
-    MultihopStage stage;
-    stage.cw = profile;
-    stage.payoff.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      stage.payoff[i] = run.node[i].payoff_rate;
-    }
-    stage.global_payoff = run.global_payoff_rate;
-    stage.topology_connected = sim.topology().connected();
-    if (injector) stage.online = injector->online_mask();
-    result.stages.push_back(std::move(stage));
-
-    // Mobility epoch: nodes move, the observation graph changes.
-    if (mobility && config.mobility_dt_s > 0.0) {
-      advance_and_refresh(sim, *mobility, config.mobility_dt_s);
-    }
+    play_stage(sim, mobility, config, injector, k, profile, result);
 
     // Graph-local TFT on the (possibly new) topology: match the smallest
     // window in the closed neighborhood. Under faults, only online
@@ -153,8 +134,7 @@ MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
     profile = std::move(next);
   }
 
-  record_fault_counters(result, injector, config.stages);
-  record_convergence_facts(result);
+  finish_run(result, injector, config.stages);
   return result;
 }
 
@@ -227,17 +207,13 @@ MultihopTftResult play_multihop_enforced(
   std::optional<Episode> episode;
 
   for (int k = 0; k < config.stages; ++k) {
-    if (injector) {
-      injector->begin_stage(k);
-      for (std::size_t i = 0; i < n; ++i) {
-        sim.set_node_active(i, injector->online(i));
-      }
-    }
     const bool punished_stage = episode.has_value();
 
     // Enforcement owns the compliant windows: entry window, or the
     // punishment window while serving in the active episode. Deviants
-    // (non-compliant nodes) are never touched.
+    // (non-compliant nodes) are never touched. (Set before the stage's
+    // fault state: windows and the online mask are independent inputs
+    // of the slot window, and begin_stage draws nothing from either.)
     for (std::size_t i = 0; i < n; ++i) {
       if (!is_compliant(i)) continue;
       int w = seed[i];
@@ -250,21 +226,7 @@ MultihopTftResult play_multihop_enforced(
       }
     }
 
-    const MultihopResult run = sim.run_slots(config.slots_per_stage);
-    MultihopStage stage;
-    stage.cw = profile;
-    stage.payoff.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      stage.payoff[i] = run.node[i].payoff_rate;
-    }
-    stage.global_payoff = run.global_payoff_rate;
-    stage.topology_connected = sim.topology().connected();
-    if (injector) stage.online = injector->online_mask();
-    result.stages.push_back(std::move(stage));
-
-    if (mobility && config.mobility_dt_s > 0.0) {
-      advance_and_refresh(sim, *mobility, config.mobility_dt_s);
-    }
+    play_stage(sim, mobility, config, injector, k, profile, result);
 
     if (punished_stage) {
       ++result.punished_stages;
@@ -331,8 +293,7 @@ MultihopTftResult play_multihop_enforced(
   for (std::size_t i = 0; i < n; ++i) {
     if (detectors[i]) result.flags_raised += detectors[i]->flags_raised();
   }
-  record_fault_counters(result, injector, config.stages);
-  record_convergence_facts(result);
+  finish_run(result, injector, config.stages);
   return result;
 }
 

@@ -41,9 +41,8 @@ struct MultihopStage {
 
 struct MultihopTftResult {
   std::vector<MultihopStage> stages;
-  /// Common window if the final profile is uniform.
+  /// Convergence facts of the played profiles (game/convergence.hpp).
   std::optional<int> converged_cw;
-  /// First stage whose profile equals the final one.
   int stable_from = 0;
   /// Fault accounting (clean for fault-free runs).
   fault::DegradationReport degradation;
@@ -64,20 +63,18 @@ struct MultihopTftConfig {
 /// Plays graph-local TFT on `sim`, starting from its current profile.
 /// When `mobility` is non-null it advances between stages and the
 /// simulator's topology is rebuilt from the new positions.
-MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
-                                    RandomWaypointModel* mobility,
-                                    const MultihopTftConfig& config);
-
-/// Fault-aware variant. `injector` (node_count matching, stage 0 not yet
-/// begun) drives crashes/joins and observation faults; nullptr reproduces
-/// the fault-free overload exactly. A crashed node is deactivated in the
-/// simulator, keeps its window, and is skipped by its neighbors' TFT
-/// matching; each node's view of a neighbor's window passes through
-/// FaultInjector::observe_cw with its previous belief as loss fallback.
+///
+/// Fault-aware when `injector` (node_count matching, stage 0 not yet
+/// begun) is given: it drives crashes/joins and observation faults. A
+/// crashed node is deactivated in the simulator, keeps its window, and is
+/// skipped by its neighbors' TFT matching; each node's view of a
+/// neighbor's window passes through FaultInjector::observe_cw with its
+/// previous belief as loss fallback. nullptr (the default) plays
+/// fault-free.
 MultihopTftResult play_multihop_tft(MultihopSimulator& sim,
                                     RandomWaypointModel* mobility,
                                     const MultihopTftConfig& config,
-                                    fault::FaultInjector* injector);
+                                    fault::FaultInjector* injector = nullptr);
 
 /// The distributed enforcement protocol for local games (the flooding
 /// counterpart of game::ReactionPolicy's coordinator model).

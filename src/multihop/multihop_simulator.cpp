@@ -31,16 +31,7 @@ MultihopSimulator::MultihopSimulator(MultihopConfig config, Topology topology,
   if (cw_profile.size() != topology_.node_count()) {
     throw std::invalid_argument("MultihopSimulator: profile/topology mismatch");
   }
-  for (const fault::SlotEvent& e : config_.faults.events) {
-    if (e.node >= cw_profile.size()) {
-      throw std::invalid_argument("MultihopSimulator: fault event node index");
-    }
-  }
-  // Events apply in (slot, declaration) order.
-  std::stable_sort(config_.faults.events.begin(), config_.faults.events.end(),
-                   [](const fault::SlotEvent& a, const fault::SlotEvent& b) {
-                     return a.slot < b.slot;
-                   });
+  config_.faults.order_events(cw_profile.size());
   util::Rng master(config_.seed ^ 0xabcdef1234567890ULL);
   nodes_.reserve(cw_profile.size());
   draw_base_.reserve(cw_profile.size());

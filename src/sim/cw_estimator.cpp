@@ -1,9 +1,6 @@
 #include "sim/cw_estimator.hpp"
 
-#include "sim/misbehavior_detector.hpp"
-
 #include <algorithm>
-#include <map>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -158,105 +155,6 @@ int DetectorGtft::decide(const game::History& history, std::size_t self) {
   // TFT-style retaliation, but only against proven aggression: match the
   // most aggressive *flagged* node's estimated window.
   return std::max(1, static_cast<int>(min_flagged_estimate + 0.5));
-}
-
-// ---- EstimatingRuntime ----
-
-namespace {
-
-std::vector<std::unique_ptr<game::Strategy>> build_strategies(
-    std::size_t n, const EstimatingRuntime::StrategyFactory& make_strategy,
-    const std::shared_ptr<std::vector<double>>& feed,
-    const std::shared_ptr<std::vector<bool>>& flags) {
-  if (n == 0) throw std::invalid_argument("EstimatingRuntime: n == 0");
-  if (!make_strategy) {
-    throw std::invalid_argument("EstimatingRuntime: null factory");
-  }
-  std::vector<std::unique_ptr<game::Strategy>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto s = make_strategy(i, feed, flags);
-    if (!s) throw std::invalid_argument("EstimatingRuntime: factory returned null");
-    out.push_back(std::move(s));
-  }
-  return out;
-}
-
-std::vector<int> initial_profile(
-    const std::vector<std::unique_ptr<game::Strategy>>& strategies) {
-  std::vector<int> cw;
-  cw.reserve(strategies.size());
-  for (const auto& s : strategies) cw.push_back(s->initial_cw());
-  return cw;
-}
-
-}  // namespace
-
-EstimatingRuntime::EstimatingRuntime(SimConfig config, std::size_t n,
-                                     const StrategyFactory& make_strategy,
-                                     double stage_duration_us)
-    : feed_(std::make_shared<std::vector<double>>()),
-      flags_(std::make_shared<std::vector<bool>>()),
-      strategies_(build_strategies(n, make_strategy, feed_, flags_)),
-      simulator_(config, initial_profile(strategies_)),
-      stage_duration_us_(stage_duration_us),
-      max_stage_(config.params.max_backoff_stage) {
-  if (!(stage_duration_us_ > 0.0)) {
-    throw std::invalid_argument("EstimatingRuntime: stage duration <= 0");
-  }
-}
-
-EstimationRuntimeResult EstimatingRuntime::play(int stages) {
-  if (stages < 1) throw std::invalid_argument("EstimatingRuntime: stages < 1");
-  const std::size_t n = strategies_.size();
-
-  EstimationRuntimeResult result;
-  for (int k = 0; k < stages; ++k) {
-    game::StageRecord record;
-    record.cw.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      record.cw[i] = k == 0 ? strategies_[i]->initial_cw()
-                            : strategies_[i]->decide(result.history, i);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (simulator_.cw(i) != record.cw[i]) simulator_.set_cw(i, record.cw[i]);
-    }
-    const SimResult stage = simulator_.run_for(stage_duration_us_);
-    record.utility.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      record.utility[i] = stage.payoff_rate[i] * stage.elapsed_us;
-    }
-    // Refresh the shared estimate feed from this stage's observables.
-    const auto estimates = estimate_windows(stage, max_stage_);
-    feed_->resize(n);
-    for (std::size_t i = 0; i < n; ++i) (*feed_)[i] = estimates[i].w_hat;
-    result.estimates_per_stage.push_back(*feed_);
-
-    // Refresh misbehavior flags against the modal window of the profile
-    // just played (the de-facto agreement).
-    std::map<int, int> histogram;
-    for (int w : record.cw) ++histogram[w];
-    int modal_w = record.cw.front();
-    int modal_count = 0;
-    for (const auto& [w, count] : histogram) {
-      if (count > modal_count) {
-        modal_count = count;
-        modal_w = w;
-      }
-    }
-    const auto verdicts = detect_misbehavior(stage, modal_w, max_stage_);
-    flags_->resize(n);
-    for (std::size_t i = 0; i < n; ++i) (*flags_)[i] = verdicts[i].flagged;
-    result.flags_per_stage.push_back(*flags_);
-    result.history.push_back(std::move(record));
-  }
-
-  const auto& last = result.history.back().cw;
-  if (std::all_of(last.begin(), last.end(),
-                  [&](int w) { return w == last.front(); })) {
-    result.converged_cw = last.front();
-  }
-  return result;
 }
 
 }  // namespace smac::sim

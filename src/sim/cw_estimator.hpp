@@ -18,9 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "game/strategies.hpp"
@@ -57,8 +55,8 @@ double invert_window(double tau_hat, double p_hat, int max_stage,
 /// over-punishes; the estimating GTFT below shows the cure.
 class EstimatingTitForTat final : public game::Strategy {
  public:
-  /// `estimates_feed` supplies the latest per-node window estimates; the
-  /// adaptive runtime owns the feed and refreshes it every stage.
+  /// `estimates_feed` supplies the latest per-node window estimates; an
+  /// AdaptiveRuntime built with feeds owns it and refreshes it every stage.
   using Feed = std::shared_ptr<const std::vector<double>>;
   EstimatingTitForTat(int initial_w, Feed estimates_feed);
 
@@ -111,43 +109,6 @@ class DetectorGtft final : public game::Strategy {
   int initial_w_;
   EstimateFeed estimates_;
   FlagFeed flags_;
-};
-
-/// Runs a stage-driven repeated game where strategies see only *estimated*
-/// windows (the feed is refreshed from each stage's observable counters).
-/// Mirrors AdaptiveRuntime but wires the estimation loop.
-struct EstimationRuntimeResult {
-  game::History history;
-  std::vector<std::vector<double>> estimates_per_stage;  ///< [stage][node]
-  std::vector<std::vector<bool>> flags_per_stage;        ///< [stage][node]
-  std::optional<int> converged_cw;
-};
-
-class EstimatingRuntime {
- public:
-  /// `make_strategy(i, estimates, flags)` builds node i's strategy around
-  /// the runtime's shared estimate and misbehavior-flag feeds (both are
-  /// refreshed every stage before strategies decide). Node j is flagged
-  /// when its measured attempt rate significantly exceeds compliance with
-  /// the *modal* window of the last played profile (the de-facto
-  /// agreement); DetectorGtft captures both feeds.
-  using StrategyFactory = std::function<std::unique_ptr<game::Strategy>(
-      std::size_t, std::shared_ptr<const std::vector<double>>,
-      std::shared_ptr<const std::vector<bool>>)>;
-
-  EstimatingRuntime(SimConfig config, std::size_t n,
-                    const StrategyFactory& make_strategy,
-                    double stage_duration_us);
-
-  EstimationRuntimeResult play(int stages);
-
- private:
-  std::shared_ptr<std::vector<double>> feed_;
-  std::shared_ptr<std::vector<bool>> flags_;
-  std::vector<std::unique_ptr<game::Strategy>> strategies_;
-  Simulator simulator_;
-  double stage_duration_us_;
-  int max_stage_;
 };
 
 }  // namespace smac::sim

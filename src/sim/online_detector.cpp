@@ -157,8 +157,8 @@ double OnlineDetector::implied_tau(int window) {
   if (memo != tau_memo_.end()) return memo->second;
   const auto solved =
       analytical::try_homogeneous_tau(window, n_, max_stage_);
-  // The scalar ladder's bisection rung cannot fail on a valid window; the
-  // clamp keeps the conversion total even if it ever degrades.
+  // The scalar Brent solve does not fail on a valid window; the fallback
+  // keeps the conversion total even if it ever did.
   const double tau = analytical::usable(solved.diagnostics.status)
                          ? std::clamp(solved.tau, 0.0, 1.0)
                          : std::clamp(2.0 / (window + 1.0), 0.0, 1.0);

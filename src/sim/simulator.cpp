@@ -7,17 +7,6 @@
 
 namespace smac::sim {
 
-struct Simulator::WindowAccumulator {
-  double elapsed_us = 0.0;
-  std::uint64_t slots = 0;
-  std::uint64_t idle_slots = 0;
-  std::uint64_t success_slots = 0;
-  std::uint64_t collision_slots = 0;
-  std::uint64_t error_slots = 0;
-  std::uint64_t capture_slots = 0;
-  std::uint64_t bad_state_slots = 0;
-};
-
 Simulator::Simulator(SimConfig config, const std::vector<int>& cw_profile)
     : config_(std::move(config)),
       times_(config_.params.slot_times(config_.mode)),
@@ -30,16 +19,7 @@ Simulator::Simulator(SimConfig config, const std::vector<int>& cw_profile)
                      util::Rng(config_.seed ^ 0xb4d57a7eULL)) {
   config_.params.validate();
   config_.faults.validate();
-  for (const fault::SlotEvent& e : config_.faults.events) {
-    if (e.node >= cw_profile.size()) {
-      throw std::invalid_argument("Simulator: fault event node index");
-    }
-  }
-  // Events apply in (slot, declaration) order.
-  std::stable_sort(config_.faults.events.begin(), config_.faults.events.end(),
-                   [](const fault::SlotEvent& a, const fault::SlotEvent& b) {
-                     return a.slot < b.slot;
-                   });
+  config_.faults.order_events(cw_profile.size());
   if (config_.arrival_rate_pps < 0.0) {
     throw std::invalid_argument("Simulator: negative arrival rate");
   }
@@ -73,7 +53,7 @@ void Simulator::set_profile(const std::vector<int>& cw_profile) {
   }
 }
 
-void Simulator::step(WindowAccumulator& acc) {
+void Simulator::step(SimResult& window) {
   // Faults resolve at the slot boundary: scripted events first, then one
   // step of the bursty-loss chain (no draws when the plan is empty).
   while (next_fault_event_ < config_.faults.events.size() &&
@@ -82,7 +62,7 @@ void Simulator::step(WindowAccumulator& acc) {
     node_up_[e.node] = e.kind == fault::FaultKind::kJoin ? 1 : 0;
   }
   fault_channel_.step();
-  if (fault_channel_.bad()) ++acc.bad_state_slots;
+  if (fault_channel_.bad()) ++window.bad_state_slots;
   const double effective_per =
       fault_channel_.effective_per(config_.params.packet_error_rate);
 
@@ -94,7 +74,7 @@ void Simulator::step(WindowAccumulator& acc) {
   double slot_us = 0.0;
   if (ready_scratch_.empty()) {
     slot_us = times_.sigma_us;
-    ++acc.idle_slots;
+    ++window.idle_slots;
   } else if (ready_scratch_.size() == 1) {
     const std::size_t sender = ready_scratch_.front();
     const double per = effective_per;
@@ -102,11 +82,11 @@ void Simulator::step(WindowAccumulator& acc) {
       // Corrupted by noise: the frame occupies its full airtime but no
       // ACK arrives — the sender backs off exactly as after a collision.
       slot_us = times_.ts_us;
-      ++acc.error_slots;
+      ++window.error_slots;
       nodes_[sender].on_collision();
     } else {
       slot_us = times_.ts_us;
-      ++acc.success_slots;
+      ++window.success_slots;
       nodes_[sender].on_success();
       if (!saturated() && backlog_[sender] > 0) --backlog_[sender];
     }
@@ -128,17 +108,17 @@ void Simulator::step(WindowAccumulator& acc) {
       }
     }
     if (corrupted) {
-      ++acc.error_slots;
+      ++window.error_slots;
     } else {
-      ++acc.capture_slots;
-      ++acc.success_slots;
+      ++window.capture_slots;
+      ++window.success_slots;
     }
   } else {
     slot_us = times_.tc_us;
-    ++acc.collision_slots;
+    ++window.collision_slots;
     for (std::size_t i : ready_scratch_) nodes_[i].on_collision();
   }
-  acc.elapsed_us += slot_us;
+  window.elapsed_us += slot_us;
   // Non-transmitting *active* nodes advance their backoff by one channel
   // slot; idle-queue nodes have no backoff running.
   for (std::size_t i = 0, r = 0; i < nodes_.size(); ++i) {
@@ -159,36 +139,29 @@ void Simulator::step(WindowAccumulator& acc) {
       backlog_time_integral_[i] += static_cast<double>(backlog_[i]) * slot_us;
     }
   }
-  ++acc.slots;
+  ++window.slots;
   ++total_slots_;
 }
 
-namespace {
+template <typename Done>
+SimResult Simulator::run_window(Done done) {
+  for (auto& node : nodes_) node.reset_counters();
+  std::fill(backlog_time_integral_.begin(), backlog_time_integral_.end(), 0.0);
+  SimResult result;  // step() accumulates the slot counters in place
+  while (!done(result)) step(result);
 
-SimResult finalize(const std::vector<DcfNode>& nodes,
-                   const phy::Parameters& params, double elapsed_us,
-                   std::uint64_t slots, std::uint64_t idle,
-                   std::uint64_t success, std::uint64_t collision,
-                   std::uint64_t error, std::uint64_t capture,
-                   std::uint64_t bad_state) {
-  SimResult result;
-  result.elapsed_us = elapsed_us;
-  result.slots = slots;
-  result.idle_slots = idle;
-  result.success_slots = success;
-  result.collision_slots = collision;
-  result.error_slots = error;
-  result.capture_slots = capture;
-  result.bad_state_slots = bad_state;
-  result.node.reserve(nodes.size());
-  for (const auto& node : nodes) result.node.push_back(node.counters());
-
-  result.throughput =
-      static_cast<double>(success) * params.payload_us() / elapsed_us;
-  result.payoff_rate.resize(nodes.size());
-  result.measured_tau.resize(nodes.size());
-  result.measured_p.resize(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
+  const phy::Parameters& params = config_.params;
+  const double elapsed_us = result.elapsed_us;
+  const std::uint64_t slots = result.slots;
+  result.node.reserve(nodes_.size());
+  for (const auto& node : nodes_) result.node.push_back(node.counters());
+  result.throughput = static_cast<double>(result.success_slots) *
+                      params.payload_us() / elapsed_us;
+  result.payoff_rate.resize(nodes_.size());
+  result.measured_tau.resize(nodes_.size());
+  result.measured_p.resize(nodes_.size());
+  result.mean_backlog.resize(nodes_.size(), 0.0);
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const NodeCounters& c = result.node[i];
     result.payoff_rate[i] =
         (static_cast<double>(c.successes) * params.gain -
@@ -201,46 +174,23 @@ SimResult finalize(const std::vector<DcfNode>& nodes,
                                ? static_cast<double>(c.collisions) /
                                      static_cast<double>(c.attempts)
                                : 0.0;
+    result.mean_backlog[i] = backlog_time_integral_[i] / elapsed_us;
   }
   return result;
 }
-
-}  // namespace
 
 SimResult Simulator::run_for(double duration_us) {
   if (!(duration_us > 0.0)) {
     throw std::invalid_argument("Simulator::run_for: duration must be > 0");
   }
-  for (auto& node : nodes_) node.reset_counters();
-  std::fill(backlog_time_integral_.begin(), backlog_time_integral_.end(), 0.0);
-  WindowAccumulator acc;
-  while (acc.elapsed_us < duration_us) step(acc);
-  SimResult result = finalize(nodes_, config_.params, acc.elapsed_us,
-                              acc.slots, acc.idle_slots, acc.success_slots,
-                              acc.collision_slots, acc.error_slots,
-                              acc.capture_slots, acc.bad_state_slots);
-  result.mean_backlog.resize(nodes_.size(), 0.0);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    result.mean_backlog[i] = backlog_time_integral_[i] / acc.elapsed_us;
-  }
-  return result;
+  return run_window([duration_us](const SimResult& window) {
+    return window.elapsed_us >= duration_us;
+  });
 }
 
 SimResult Simulator::run_slots(std::uint64_t n) {
   if (n == 0) throw std::invalid_argument("Simulator::run_slots: n == 0");
-  for (auto& node : nodes_) node.reset_counters();
-  std::fill(backlog_time_integral_.begin(), backlog_time_integral_.end(), 0.0);
-  WindowAccumulator acc;
-  while (acc.slots < n) step(acc);
-  SimResult result = finalize(nodes_, config_.params, acc.elapsed_us,
-                              acc.slots, acc.idle_slots, acc.success_slots,
-                              acc.collision_slots, acc.error_slots,
-                              acc.capture_slots, acc.bad_state_slots);
-  result.mean_backlog.resize(nodes_.size(), 0.0);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    result.mean_backlog[i] = backlog_time_integral_[i] / acc.elapsed_us;
-  }
-  return result;
+  return run_window([n](const SimResult& window) { return window.slots >= n; });
 }
 
 const std::vector<std::string>& replicated_metric_names() {

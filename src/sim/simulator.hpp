@@ -115,8 +115,12 @@ class Simulator {
   std::uint64_t total_slots() const noexcept { return total_slots_; }
 
  private:
-  struct WindowAccumulator;
-  void step(WindowAccumulator& acc);
+  /// One channel slot; adds its outcome to `window`'s slot counters.
+  void step(SimResult& window);
+  /// One measurement window: resets the counters, steps slots until
+  /// `done(window)` holds, and derives the window's rates.
+  template <typename Done>
+  SimResult run_window(Done done);
   bool node_active(std::size_t i) const noexcept {
     return node_up_[i] != 0 && (saturated() || backlog_[i] > 0);
   }

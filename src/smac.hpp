@@ -14,7 +14,6 @@
 #include "util/config.hpp"
 #include "util/csv.hpp"
 #include "util/fixed_point.hpp"
-#include "util/logging.hpp"
 #include "util/optimize.hpp"
 #include "util/rng.hpp"
 #include "util/root_finding.hpp"

@@ -1,7 +1,9 @@
 // FaultPlan validation and FaultInjector determinism: the fault
 // trajectory must be a pure function of (plan, node_count, seed) and the
 // injector must enforce its stage-ordering contract.
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -50,6 +52,25 @@ TEST(FaultPlan, EnabledPredicates) {
   EXPECT_FALSE(ge.enabled());  // per_bad still 0: Bad state is harmless
   ge.per_bad = 0.3;
   EXPECT_TRUE(ge.enabled());
+}
+
+TEST(FaultPlan, SlotEventsAreCheckedThenOrderedBySlot) {
+  fault::SlotFaultPlan plan;
+  plan.events = {{50, 1, FaultKind::kCrash},
+                 {10, 2, FaultKind::kCrash},
+                 {50, 0, FaultKind::kJoin},
+                 {10, 0, FaultKind::kCrash}};
+  plan.order_events(3);
+  // By slot; declaration order kept within a slot.
+  const std::vector<std::pair<std::uint64_t, std::size_t>> expected{
+      {10, 2}, {10, 0}, {50, 1}, {50, 0}};
+  ASSERT_EQ(plan.events.size(), expected.size());
+  for (std::size_t e = 0; e < expected.size(); ++e) {
+    EXPECT_EQ(plan.events[e].slot, expected[e].first) << e;
+    EXPECT_EQ(plan.events[e].node, expected[e].second) << e;
+  }
+  EXPECT_EQ(plan.events[3].kind, FaultKind::kJoin);
+  EXPECT_THROW(plan.order_events(2), std::invalid_argument);  // node 2
 }
 
 TEST(FaultInjector, RejectsOutOfRangeScriptedNode) {

@@ -274,6 +274,10 @@ TEST(FaultSimulator, ScriptedCrashSilencesNode) {
   EXPECT_FALSE(simulator.node_online(2));
   EXPECT_EQ(result.node[2].successes, 0u);
   EXPECT_GT(result.node[0].successes, 0u);
+
+  // An event naming a node the simulator does not have is rejected.
+  EXPECT_THROW(sim::Simulator(config, std::vector<int>(2, 32)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -248,6 +248,9 @@ TEST(DegradedSolveFuzzTest, HomogeneousTauLadderNeverThrows) {
           ASSERT_TRUE(std::isfinite(r.tau));
           EXPECT_GE(r.tau, 0.0);
           EXPECT_LE(r.tau, 1.0);
+          EXPECT_TRUE(std::string(r.diagnostics.method) == "brent" ||
+                      std::string(r.diagnostics.method) == "closed-form")
+              << r.diagnostics.method;
           if (!usable(r.diagnostics.status)) {
             ++failed;
             std::printf("[fuzz fixture] homogeneous w=%.4g n=%d m=%d "
@@ -259,9 +262,38 @@ TEST(DegradedSolveFuzzTest, HomogeneousTauLadderNeverThrows) {
       }
     }
   }
-  // The homogeneous ladder ends in bisection over a guaranteed bracket:
-  // valid inputs must never come back unusable.
+  // Brent over the guaranteed bracket [0, 1]: valid inputs must never
+  // come back unusable.
   EXPECT_EQ(failed, 0);
+}
+
+// The reference kernel's last rung. With the budget starved to one
+// iteration per rung no damped rung converges, and a homogeneous profile
+// falls back to the exact scalar solve, reported as "bisection".
+TEST(DegradedSolveFuzzTest, FullKernelHomogeneousFallbackRung) {
+  struct Fixture {
+    int n;
+    int w;
+    int max_stage;
+    double per;
+  };
+  const std::vector<Fixture> fixtures{
+      {2, 1, 6, 0.0}, {50, 16, 6, 0.9}, {200, 4096, 6, 0.999}};
+  SolverOptions opts;
+  opts.max_iterations = 1;
+  for (const Fixture& f : fixtures) {
+    const std::vector<int> w(static_cast<std::size_t>(f.n), f.w);
+    const std::string label = profile_label(w, f.max_stage, f.per);
+    const TrySolveResult r =
+        try_solve_network_full(w, f.max_stage, opts, f.per);
+    EXPECT_STREQ(r.diagnostics.method, "bisection") << label;
+    EXPECT_EQ(r.diagnostics.status, SolveStatus::kConverged) << label;
+    EXPECT_EQ(r.diagnostics.retries, 3) << label;  // damped ladder spent
+    const TryTauResult scalar = try_homogeneous_tau(
+        static_cast<double>(f.w), f.n, f.max_stage, f.per);
+    ASSERT_EQ(r.state.tau.size(), w.size()) << label;
+    for (const double tau : r.state.tau) EXPECT_EQ(tau, scalar.tau) << label;
+  }
 }
 
 }  // namespace

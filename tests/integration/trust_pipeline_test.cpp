@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "game/equilibrium.hpp"
+#include "sim/adaptive_runtime.hpp"
 #include "sim/cw_estimator.hpp"
 #include "sim/misbehavior_detector.hpp"
 #include "sim/search_protocol.hpp"
@@ -50,7 +51,7 @@ TEST(TrustPipelineTest, SearchThenGuardThenEnforce) {
   enforce_config.mode = mode;
   enforce_config.seed = 100;
   const int w_cheat = std::max(1, w_agreed / 4);
-  sim::EstimatingRuntime runtime(
+  sim::AdaptiveRuntime runtime(
       enforce_config, static_cast<std::size_t>(n),
       [&](std::size_t i, auto estimates,
           auto flags) -> std::unique_ptr<game::Strategy> {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "analytical/backoff_chain.hpp"
+#include "sim/adaptive_runtime.hpp"
 
 namespace smac::sim {
 namespace {
@@ -91,14 +92,14 @@ TEST(EstimatingStrategiesTest, ValidateConstruction) {
 }
 
 TEST(EstimatingRuntimeTest, ValidatesConstruction) {
-  EXPECT_THROW(EstimatingRuntime(make_config(), 0,
-                                 [](std::size_t, auto feed, auto) {
-                                   return std::make_unique<
-                                       EstimatingTitForTat>(16, feed);
-                                 },
-                                 1e5),
+  EXPECT_THROW(AdaptiveRuntime(make_config(), 0,
+                               [](std::size_t, auto feed, auto) {
+                                 return std::make_unique<
+                                     EstimatingTitForTat>(16, feed);
+                               },
+                               1e5),
                std::invalid_argument);
-  EXPECT_THROW(EstimatingRuntime(
+  EXPECT_THROW(AdaptiveRuntime(
                    make_config(), 3,
                    [](std::size_t, auto, auto) {
                      return std::unique_ptr<game::Strategy>{};
@@ -111,7 +112,7 @@ TEST(EstimatingRuntimeTest, CooperativePopulationStaysNearConfiguredWindow) {
   // With long stages the estimates are tight, so estimating-TFT holds the
   // line near the common window instead of spiraling down.
   const int w = 64;
-  EstimatingRuntime runtime(
+  AdaptiveRuntime runtime(
       make_config(5), 5,
       [&](std::size_t, auto feed, auto) {
         return std::make_unique<EstimatingTitForTat>(w, feed);
@@ -131,7 +132,7 @@ TEST(EstimatingRuntimeTest, PlainTftDriftsMoreThanGtftUnderNoise) {
   // window deficits.
   const int w = 64;
   auto final_min_cw = [&](bool gtft) {
-    EstimatingRuntime runtime(
+    AdaptiveRuntime runtime(
         make_config(6), 5,
         [&](std::size_t, auto feed, auto) -> std::unique_ptr<game::Strategy> {
           if (gtft) {
@@ -152,7 +153,7 @@ TEST(EstimatingRuntimeTest, PlainTftDriftsMoreThanGtftUnderNoise) {
 }
 
 TEST(EstimatingRuntimeTest, EstimatesAreRecordedPerStage) {
-  EstimatingRuntime runtime(
+  AdaptiveRuntime runtime(
       make_config(7), 3,
       [&](std::size_t, auto feed, auto) {
         return std::make_unique<EstimatingTitForTat>(32, feed);
