@@ -17,6 +17,20 @@
 
 namespace smac::analytical {
 
+/// Σ_{r=0}^{m-1} (2p)^r computed termwise: finite and continuous at the
+/// closed form's removable singularity p = 1/2. Inline so that
+/// transmission_probability, which runs on every solver miss, keeps it
+/// inlined.
+inline double geometric_sum_2p(double p, int m) noexcept {
+  double sum = 0.0;
+  double term = 1.0;
+  for (int r = 0; r < m; ++r) {
+    sum += term;
+    term *= 2.0 * p;
+  }
+  return sum;
+}
+
 /// Transmission probability τ of a node with initial window W and
 /// conditional collision probability p, with m doubling stages.
 ///
@@ -28,10 +42,6 @@ double transmission_probability(int w, double p, int max_stage);
 /// Continuous-W relaxation of τ(W, p); used to invert τ ↦ W when mapping
 /// the continuous optimizer τ_c* (Lemma 3) back onto a contention window.
 double transmission_probability_cont(double w, double p, int max_stage);
-
-/// ∂τ/∂p < 0 region check helper: τ is strictly decreasing in both W and p;
-/// exposed mainly for property tests and the monotonicity lemmas.
-double transmission_probability_derivative_w(int w, double p, int max_stage);
 
 /// Full stationary distribution of the (stage, counter) chain for one node.
 class BackoffChain {

@@ -182,8 +182,8 @@ double homogeneous_tau(double w, int n, int max_stage,
                        double packet_error_rate = 0.0);
 
 /// Inverts the homogeneous model: the (continuous) window w such that the
-/// n-node fixed point transmits with probability `tau_target`. Monotone
-/// bisection over w ∈ [1, w_hi]; expands w_hi as needed. Returns w clamped
+/// n-node fixed point transmits with probability `tau_target`. Brent's
+/// method over w ∈ [1, w_hi]; expands w_hi as needed. Returns w clamped
 /// to >= 1 when even w = 1 yields τ < tau_target, and clamped to the
 /// expansion cap kWindowForTauCap when no window up to the cap reaches a
 /// τ as small as `tau_target` (instead of aborting a sweep mid-run).

@@ -28,34 +28,6 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-/// Exact (bitwise) equality of two multihop windows — the check
-/// sim_compare_kernels applies per stage. Doubles compare with ==
-/// deliberately: the PDES contract promises identical bits, not just
-/// identical statistics.
-bool results_identical(const MultihopResult& a, const MultihopResult& b) {
-  if (a.slots != b.slots || a.bad_state_slots != b.bad_state_slots ||
-      a.global_payoff_rate != b.global_payoff_rate ||
-      a.aggregate_p_hn != b.aggregate_p_hn ||
-      a.node.size() != b.node.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.node.size(); ++i) {
-    const MultihopNodeStats& x = a.node[i];
-    const MultihopNodeStats& y = b.node[i];
-    if (x.attempts != y.attempts || x.successes != y.successes ||
-        x.sender_collisions != y.sender_collisions ||
-        x.hidden_losses != y.hidden_losses ||
-        x.channel_losses != y.channel_losses ||
-        x.local_time_us != y.local_time_us ||
-        x.payoff_rate != y.payoff_rate ||
-        x.measured_tau != y.measured_tau || x.measured_p != y.measured_p ||
-        x.measured_p_hn != y.measured_p_hn) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// One stage's slot-sim window: the converged profile on the stage's
 /// active topology, crashed nodes inactive. The stage seed is a
 /// stream_seed derivation so stages are independent replications.
@@ -318,7 +290,7 @@ CityScaleResult run_city_scale(const CityScaleConfig& config) {
                           MultihopKernel::kSlotLoop, nullptr);
         if (result.sim_oracle_ms < 0.0) result.sim_oracle_ms = 0.0;
         result.sim_oracle_ms += ms_since(t_oracle);
-        st.sim_kernels_match = results_identical(sim, oracle);
+        st.sim_kernels_match = sim == oracle;
       }
       st.sim_p_hn = sim.aggregate_p_hn;
       st.sim_payoff = sim.global_payoff_rate;

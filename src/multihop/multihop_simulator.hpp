@@ -81,6 +81,8 @@ struct MultihopNodeStats {
   double measured_tau = 0.0;
   double measured_p = 0.0;     ///< sender-visible collision fraction
   double measured_p_hn = 0.0;  ///< delivery fraction given a clear sender
+
+  bool operator==(const MultihopNodeStats&) const = default;
 };
 
 struct MultihopResult {
@@ -91,6 +93,11 @@ struct MultihopResult {
   double global_payoff_rate = 0.0;  ///< Σ_i payoff_rate_i
   /// Aggregate p_hn over all nodes (paper's degradation factor).
   double aggregate_p_hn = 0.0;
+
+  /// Field-wise equality; doubles compare with ==, so two windows are
+  /// equal only when their bits match (the PDES kernel's contract with
+  /// the slot-loop oracle, checked per stage by sim_compare_kernels).
+  bool operator==(const MultihopResult&) const = default;
 };
 
 class MultihopSimulator {

@@ -96,30 +96,6 @@ bool Topology::connected() const {
   return reached == node_count();
 }
 
-std::size_t Topology::hop_distance(std::size_t a, std::size_t b) const {
-  if (a >= node_count() || b >= node_count()) {
-    throw std::invalid_argument("hop_distance: node out of range");
-  }
-  if (a == b) return 0;
-  constexpr auto kInf = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> dist(node_count(), kInf);
-  std::queue<std::size_t> queue;
-  dist[a] = 0;
-  queue.push(a);
-  while (!queue.empty()) {
-    const std::size_t u = queue.front();
-    queue.pop();
-    for (const std::size_t v : graph_.neighbors(u)) {
-      if (dist[v] == kInf) {
-        dist[v] = dist[u] + 1;
-        if (v == b) return dist[v];
-        queue.push(v);
-      }
-    }
-  }
-  return kInf;
-}
-
 std::size_t Topology::diameter() const {
   constexpr auto kInf = std::numeric_limits<std::size_t>::max();
   std::size_t diameter = 0;

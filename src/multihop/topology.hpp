@@ -46,9 +46,6 @@ class Topology {
   /// True when the graph is a single connected component (BFS).
   bool connected() const;
 
-  /// Hop distance between a and b; SIZE_MAX when disconnected.
-  std::size_t hop_distance(std::size_t a, std::size_t b) const;
-
   /// Longest finite hop distance over all pairs (0 for n = 1); SIZE_MAX
   /// when the graph is disconnected.
   std::size_t diameter() const;

@@ -5,28 +5,16 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "analytical/backoff_chain.hpp"
+
 namespace smac::sim {
-
-namespace {
-
-double geometric_sum_2p(double p, int m) noexcept {
-  double sum = 0.0;
-  double term = 1.0;
-  for (int r = 0; r < m; ++r) {
-    sum += term;
-    term *= 2.0 * p;
-  }
-  return sum;
-}
-
-}  // namespace
 
 double invert_window(double tau_hat, double p_hat, int max_stage,
                      double w_max_hint) {
   if (tau_hat <= 0.0) return w_max_hint;  // no attempts observed
   tau_hat = std::min(tau_hat, 1.0);
   p_hat = std::clamp(p_hat, 0.0, 1.0);
-  const double denom = 1.0 + p_hat * geometric_sum_2p(p_hat, max_stage);
+  const double denom = 1.0 + p_hat * analytical::geometric_sum_2p(p_hat, max_stage);
   const double w = (2.0 / tau_hat - 1.0) / denom;
   return std::max(1.0, std::min(w, w_max_hint));
 }

@@ -94,44 +94,4 @@ IntMaximizeResult exhaustive_int_max(
   return res;
 }
 
-IntMaximizeResult hill_climb_int_max(
-    const std::function<double(std::int64_t)>& f, std::int64_t start,
-    std::int64_t lo, std::int64_t hi) {
-  if (lo > hi || start < lo || start > hi) {
-    throw std::invalid_argument("hill_climb_int_max: bad range/start");
-  }
-  IntMaximizeResult res;
-  std::int64_t x = start;
-  double fx = f(x);
-  ++res.evaluations;
-
-  // Right-search: climb while strictly improving.
-  while (x < hi) {
-    const double fnext = f(x + 1);
-    ++res.evaluations;
-    if (fnext > fx) {
-      ++x;
-      fx = fnext;
-    } else {
-      break;
-    }
-  }
-  // Left-search only if right-search never moved (paper's §V.C structure).
-  if (x == start) {
-    while (x > lo) {
-      const double fprev = f(x - 1);
-      ++res.evaluations;
-      if (fprev > fx) {
-        --x;
-        fx = fprev;
-      } else {
-        break;
-      }
-    }
-  }
-  res.x = x;
-  res.fx = fx;
-  return res;
-}
-
 }  // namespace smac::util

@@ -11,38 +11,6 @@ bool opposite_signs(double a, double b) noexcept {
 }
 }  // namespace
 
-std::optional<RootResult> bisect(const std::function<double(double)>& f,
-                                 double lo, double hi,
-                                 const RootOptions& opts) {
-  if (!(lo < hi)) return std::nullopt;
-  double flo = f(lo);
-  double fhi = f(hi);
-  if (flo == 0.0) return RootResult{lo, 0.0, 0, true};
-  if (fhi == 0.0) return RootResult{hi, 0.0, 0, true};
-  if (!opposite_signs(flo, fhi)) return std::nullopt;
-
-  RootResult res;
-  for (res.iterations = 1; res.iterations <= opts.max_iterations;
-       ++res.iterations) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = f(mid);
-    res.x = mid;
-    res.fx = fmid;
-    if (std::abs(fmid) <= opts.f_tol || (hi - lo) * 0.5 <= opts.x_tol) {
-      res.converged = true;
-      return res;
-    }
-    if (opposite_signs(flo, fmid)) {
-      hi = mid;
-      fhi = fmid;
-    } else {
-      lo = mid;
-      flo = fmid;
-    }
-  }
-  return res;  // not converged; best effort
-}
-
 std::optional<RootResult> brent(const std::function<double(double)>& f,
                                 double lo, double hi,
                                 const RootOptions& opts) {
@@ -114,23 +82,6 @@ std::optional<RootResult> brent(const std::function<double(double)>& f,
     }
   }
   return res;
-}
-
-std::optional<std::pair<double, double>> find_bracket(
-    const std::function<double(double)>& f, double lo, double hi, int steps) {
-  if (!(lo < hi) || steps < 1) return std::nullopt;
-  const double h = (hi - lo) / steps;
-  double x0 = lo;
-  double f0 = f(x0);
-  for (int i = 1; i <= steps; ++i) {
-    const double x1 = lo + h * i;
-    const double f1 = f(x1);
-    if (f0 == 0.0) return std::make_pair(x0, x0);
-    if (opposite_signs(f0, f1)) return std::make_pair(x0, x1);
-    x0 = x1;
-    f0 = f1;
-  }
-  return std::nullopt;
 }
 
 }  // namespace smac::util

@@ -1,4 +1,4 @@
-// Scalar root finding: bisection and Brent's method.
+// Scalar root finding: Brent's method.
 //
 // Used to solve the paper's Q(τ_c) = 0 condition (Lemma 3) and the
 // τ(W, p) / p(τ) coupling in the homogeneous Bianchi model.
@@ -22,23 +22,11 @@ struct RootOptions {
   int max_iterations = 200;
 };
 
-/// Bisection on [lo, hi]. Requires f(lo) and f(hi) of opposite sign
-/// (a zero endpoint is returned immediately). Returns nullopt when the
-/// bracket is invalid.
-std::optional<RootResult> bisect(const std::function<double(double)>& f,
-                                 double lo, double hi,
-                                 const RootOptions& opts = {});
-
 /// Brent's method (inverse quadratic interpolation + secant + bisection)
-/// on [lo, hi]; same bracketing contract as bisect(), faster convergence.
+/// on [lo, hi]. Requires f(lo) and f(hi) of opposite sign (a zero endpoint
+/// is returned immediately). Returns nullopt when the bracket is invalid.
 std::optional<RootResult> brent(const std::function<double(double)>& f,
                                 double lo, double hi,
                                 const RootOptions& opts = {});
-
-/// Expands/scans [lo, hi] in `steps` uniform pieces and returns the first
-/// sub-interval with a sign change, usable as a bracket for brent/bisect.
-std::optional<std::pair<double, double>> find_bracket(
-    const std::function<double(double)>& f, double lo, double hi,
-    int steps = 64);
 
 }  // namespace smac::util

@@ -45,50 +45,6 @@ double RunningStats::ci_halfwidth(double z) const noexcept {
   return z * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: need hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  std::size_t idx;
-  if (x < lo_) {
-    ++underflow_;
-    idx = 0;
-  } else if (x >= hi_) {
-    ++overflow_;
-    idx = counts_.size() - 1;
-  } else {
-    idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);
-  }
-  ++counts_[idx];
-}
-
-double Histogram::bin_lower(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto c = static_cast<double>(counts_[i]);
-    if (cum + c >= target && c > 0) {
-      const double frac = (target - cum) / c;
-      return bin_lower(i) + frac * width_;
-    }
-    cum += c;
-  }
-  return hi_;
-}
-
 double normal_quantile(double p) {
   if (!(p > 0.0) || !(p < 1.0)) {
     throw std::invalid_argument("normal_quantile: p outside (0,1)");

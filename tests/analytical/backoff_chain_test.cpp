@@ -79,19 +79,6 @@ TEST(TransmissionProbabilityTest, MoreStagesLowerTau) {
   }
 }
 
-TEST(TransmissionProbabilityTest, DerivativeMatchesFiniteDifference) {
-  for (int w : {8, 64, 512}) {
-    for (double p : {0.0, 0.25, 0.5}) {
-      const double h = 1e-4;
-      const double fd = (transmission_probability_cont(w + h, p, 6) -
-                         transmission_probability_cont(w - h, p, 6)) /
-                        (2.0 * h);
-      EXPECT_NEAR(transmission_probability_derivative_w(w, p, 6), fd,
-                  std::abs(fd) * 1e-4 + 1e-12);
-    }
-  }
-}
-
 TEST(TransmissionProbabilityTest, ContVariantAgreesOnIntegers) {
   for (int w : {1, 7, 100, 4096}) {
     EXPECT_DOUBLE_EQ(transmission_probability(w, 0.3, 6),

@@ -47,12 +47,9 @@ TEST(TopologyTest, ConnectivityAndDiameter) {
   const Topology chain({{0, 0}, {200, 0}, {400, 0}, {600, 0}}, 250.0);
   EXPECT_TRUE(chain.connected());
   EXPECT_EQ(chain.diameter(), 3u);
-  EXPECT_EQ(chain.hop_distance(0, 3), 3u);
-  EXPECT_EQ(chain.hop_distance(0, 0), 0u);
 
   const Topology split({{0, 0}, {100, 0}, {5000, 0}}, 250.0);
   EXPECT_FALSE(split.connected());
-  EXPECT_EQ(split.hop_distance(0, 2), std::numeric_limits<std::size_t>::max());
   EXPECT_EQ(split.diameter(), std::numeric_limits<std::size_t>::max());
 }
 
@@ -69,11 +66,6 @@ TEST(TopologyTest, SingleNodeGraph) {
   EXPECT_TRUE(t.connected());
   EXPECT_EQ(t.degree(0), 0u);
   EXPECT_EQ(t.diameter(), 0u);
-}
-
-TEST(TopologyTest, HopDistanceValidatesRange) {
-  const Topology t({{0, 0}, {1, 0}}, 10.0);
-  EXPECT_THROW(t.hop_distance(0, 5), std::invalid_argument);
 }
 
 TEST(TopologyTest, RangeBoundaryIsInclusive) {

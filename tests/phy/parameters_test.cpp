@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <ostream>
 
 namespace smac::phy {
 namespace {
@@ -72,30 +72,46 @@ TEST(ParametersTest, ToStringNames) {
   EXPECT_EQ(to_string(AccessMode::kRtsCts), "rts-cts");
 }
 
-class ParameterValidationTest
-    : public ::testing::TestWithParam<std::function<void(Parameters&)>> {};
+/// One invalid-field case: `mutate` breaks one field of the paper
+/// defaults. PrintTo shows `name` as the parameter, so the ctest id reads
+/// `RejectsInvalidField/<name>` and is the same in every build (gtest's
+/// default printout of a callable is its bytes, heap addresses included).
+struct InvalidField {
+  const char* name;
+  void (*mutate)(Parameters&);
+};
+
+void PrintTo(const InvalidField& field, std::ostream* os) { *os << field.name; }
+
+class ParameterValidationTest : public ::testing::TestWithParam<InvalidField> {
+};
 
 TEST_P(ParameterValidationTest, RejectsInvalidField) {
   Parameters p = Parameters::paper();
-  GetParam()(p);
+  GetParam().mutate(p);
   EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     InvalidFields, ParameterValidationTest,
     ::testing::Values(
-        [](Parameters& p) { p.payload_bits = 0.0; },
-        [](Parameters& p) { p.bitrate_bps = -1.0; },
-        [](Parameters& p) { p.sigma_us = 0.0; },
-        [](Parameters& p) { p.sifs_us = -5.0; },
-        [](Parameters& p) { p.difs_us = 0.0; },
-        [](Parameters& p) { p.stage_duration_s = 0.0; },
-        [](Parameters& p) { p.gain = 0.0; },
-        [](Parameters& p) { p.cost = -0.01; },
-        [](Parameters& p) { p.max_backoff_stage = -1; },
-        [](Parameters& p) { p.w_max = 0; },
-        [](Parameters& p) { p.discount = 1.0; },
-        [](Parameters& p) { p.discount = 0.0; }));
+        InvalidField{"PayloadBitsZero",
+                     [](Parameters& p) { p.payload_bits = 0.0; }},
+        InvalidField{"BitrateNegative",
+                     [](Parameters& p) { p.bitrate_bps = -1.0; }},
+        InvalidField{"SigmaZero", [](Parameters& p) { p.sigma_us = 0.0; }},
+        InvalidField{"SifsNegative", [](Parameters& p) { p.sifs_us = -5.0; }},
+        InvalidField{"DifsZero", [](Parameters& p) { p.difs_us = 0.0; }},
+        InvalidField{"StageDurationZero",
+                     [](Parameters& p) { p.stage_duration_s = 0.0; }},
+        InvalidField{"GainZero", [](Parameters& p) { p.gain = 0.0; }},
+        InvalidField{"CostNegative", [](Parameters& p) { p.cost = -0.01; }},
+        InvalidField{"MaxBackoffStageNegative",
+                     [](Parameters& p) { p.max_backoff_stage = -1; }},
+        InvalidField{"WMaxZero", [](Parameters& p) { p.w_max = 0; }},
+        InvalidField{"DiscountOne", [](Parameters& p) { p.discount = 1.0; }},
+        InvalidField{"DiscountZero",
+                     [](Parameters& p) { p.discount = 0.0; }}));
 
 }  // namespace
 }  // namespace smac::phy
